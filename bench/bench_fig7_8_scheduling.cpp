@@ -61,6 +61,7 @@ int main() {
         .field("strategy", s.label)
         .field("makespan_s", result.makespan_s)
         .field("avg_bounded_slowdown", result.avg_bounded_slowdown)
+        .field("avg_wait_s", result.avg_wait_s)
         .field("sim_seconds", sim_timer.seconds())
         .end_object();
     if (std::string(s.label) == "Round-Robin") rr_makespan = result.makespan_s;

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "arch/system_catalog.hpp"
 #include "common/rng.hpp"
@@ -392,24 +394,34 @@ BENCHMARK(BM_ForestFitHist)->Unit(benchmark::kMillisecond);
 // per-job machine order is either memoized once by prime() (what the
 // simulation engine now does) or re-derived on every call.
 
+/// `n` jobs sampled from a small campaign's predictions; the campaign
+/// and model are built once per process.
+std::vector<sched::Job> sampled_jobs(std::size_t n) {
+  struct Source {
+    core::Dataset ds;
+    ml::Matrix predictions;
+  };
+  static const Source source = [] {
+    sim::CampaignOptions options;
+    options.inputs_per_app = 4;
+    auto ds = core::build_dataset(run_campaign(apps(), systems(), options));
+    core::CrossArchPredictor::Options popt;
+    popt.gbt.n_rounds = 30;
+    popt.gbt.max_depth = 4;
+    core::CrossArchPredictor predictor(popt);
+    predictor.train(ds);
+    auto predictions = predictor.predict(ds.features());
+    return Source{std::move(ds), std::move(predictions)};
+  }();
+  return sched::sample_jobs(source.ds, source.predictions, apps(), n, 3);
+}
+
 struct SchedFixture {
   std::vector<sched::Job> jobs;
   std::vector<sched::Machine> machines;
 
   static const SchedFixture& get() {
-    static const SchedFixture f = [] {
-      sim::CampaignOptions options;
-      options.inputs_per_app = 4;
-      const auto ds = core::build_dataset(run_campaign(apps(), systems(), options));
-      core::CrossArchPredictor::Options popt;
-      popt.gbt.n_rounds = 30;
-      popt.gbt.max_depth = 4;
-      core::CrossArchPredictor predictor(popt);
-      predictor.train(ds);
-      const auto predictions = predictor.predict(ds.features());
-      return SchedFixture{sched::sample_jobs(ds, predictions, apps(), 4096, 3),
-                          sched::default_cluster(systems())};
-    }();
+    static const SchedFixture f{sampled_jobs(4096), sched::default_cluster(systems())};
     return f;
   }
 };
@@ -439,17 +451,7 @@ void BM_AssignModelBasedPrimed(benchmark::State& state) { assign_micro(state, tr
 BENCHMARK(BM_AssignModelBasedPrimed)->Unit(benchmark::kMicrosecond);
 
 void BM_SchedulerSimulate(benchmark::State& state) {
-  sim::CampaignOptions options;
-  options.inputs_per_app = 4;
-  const auto ds = core::build_dataset(run_campaign(apps(), systems(), options));
-  core::CrossArchPredictor::Options popt;
-  popt.gbt.n_rounds = 30;
-  popt.gbt.max_depth = 4;
-  core::CrossArchPredictor predictor(popt);
-  predictor.train(ds);
-  const auto predictions = predictor.predict(ds.features());
-  const auto jobs = sched::sample_jobs(ds, predictions, apps(),
-                                       static_cast<std::size_t>(state.range(0)), 3);
+  const auto jobs = sampled_jobs(static_cast<std::size_t>(state.range(0)));
   const auto machines = sched::default_cluster(systems());
   for (auto _ : state) {
     sched::ModelBasedAssigner assigner;
@@ -458,6 +460,28 @@ void BM_SchedulerSimulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SchedulerSimulate)->Arg(5000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+// Indexed EASY backfill under the two pure assigners of the Fig. 7/8
+// study. Round-Robin blocks its head on the head's own full machine while
+// the other machines keep free nodes, so it only stays within a small
+// factor of Model-based when backfill is bounded by its target machine's
+// free nodes rather than by the cluster-wide free maximum.
+template <typename Assigner>
+void BM_SimulateBackfill(benchmark::State& state) {
+  static const auto jobs = sampled_jobs(20000);
+  const auto machines = sched::default_cluster(systems());
+  for (auto _ : state) {
+    Assigner assigner;
+    benchmark::DoNotOptimize(sched::simulate(jobs, machines, assigner).makespan_s);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK_TEMPLATE(BM_SimulateBackfill, sched::RoundRobinAssigner)
+    ->Name("BM_SimulateBackfill/rr")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_SimulateBackfill, sched::ModelBasedAssigner)
+    ->Name("BM_SimulateBackfill/model")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -83,6 +83,22 @@ JobOrderCache::State JobOrderCache::lookup(const Job& job,
   return states_[id];
 }
 
+int MachineAssigner::startable_width(std::size_t /*started_index*/,
+                                     const ClusterView& view) const {
+  int widest = 0;
+  for (const Machine& m : view.machines()) {
+    widest = std::max(widest, view.free_nodes(m.id));
+  }
+  return widest;
+}
+
+int RoundRobinAssigner::startable_width(std::size_t started_index,
+                                        const ClusterView& view) const {
+  const auto& machines = view.machines();
+  MPHPC_EXPECTS(!machines.empty());
+  return view.free_nodes(machines[started_index % machines.size()].id);
+}
+
 arch::SystemId RoundRobinAssigner::assign(const Job& /*job*/, std::size_t started_index,
                                           const ClusterView& view) {
   const auto& machines = view.machines();

@@ -41,13 +41,24 @@ class MachineAssigner {
   /// True when, for the job set passed to the latest prime(), assign() is
   /// a pure function of (job, started_index, view) — no internal state
   /// advances per call. The engine's indexed backfill path may then skip
-  /// candidates that cannot start on any machine without calling assign()
-  /// on them; stateful assigners (Random's RNG, User+RR's rotation) must
-  /// see every candidate so their state advances identically to a full
-  /// scan. Default: stateful.
+  /// candidates wider than startable_width() without calling assign() on
+  /// them; stateful assigners (Random's RNG, User+RR's rotation) must see
+  /// every candidate so their state advances identically to a full scan.
+  /// Default: stateful.
   [[nodiscard]] virtual bool stateless_assign() const noexcept {
     return false;
   }
+
+  /// Widest job that assign(job, started_index, view) could place on a
+  /// machine with room for it right now. Only consulted when
+  /// stateless_assign() is true: the indexed backfill pass skips every
+  /// candidate wider than this bound without calling assign(), so an
+  /// override may be tight but must never under-report. The bound may
+  /// change only when a job starts (started_index or the view changes).
+  /// Default: the widest free pool in the cluster, which holds for any
+  /// assigner.
+  [[nodiscard]] virtual int startable_width(std::size_t started_index,
+                                            const ClusterView& view) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -94,6 +105,11 @@ class RoundRobinAssigner final : public MachineAssigner {
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
   [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
+  /// assign() ignores the job, so only jobs that fit the free nodes of
+  /// this start's target machine can start, whatever the other machines
+  /// have free.
+  [[nodiscard]] int startable_width(std::size_t started_index,
+                                    const ClusterView& view) const override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 };
 

@@ -87,7 +87,7 @@ struct RunningRef {
 /// job width (nodes_required). The main list is the exact FCFS order (a
 /// monotone sequence number is stamped on every push, so resubmissions
 /// re-enter at the back). The width sublists let the indexed backfill
-/// path merge only the size classes that can still start somewhere,
+/// path merge only the size classes the assigner could still start,
 /// instead of walking every queued job. A job is in the queue at most
 /// once at a time (queued -> running -> pending -> queued), which is what
 /// makes the intrusive per-job links sound.
@@ -600,11 +600,12 @@ class ReferenceEngine final : public EngineBase<ReferenceEngine> {
 
 /// The production engine (SimEngineKind::kCalendar): calendar queues for
 /// releases and kills, and a width-indexed FCFS queue so backfill skips
-/// whole job-size classes that cannot start anywhere. With a stateless
-/// assigner the indexed scan provably starts the same jobs as the full
-/// rescan (a skipped candidate would only ever be assigned and rejected);
-/// stateful assigners (Random, User+RR, guarded fallback) keep the full
-/// scan so their internal state advances call-for-call identically.
+/// whole job-size classes wider than the assigner's startable width
+/// (MachineAssigner::startable_width). With a stateless assigner the
+/// indexed scan provably starts the same jobs as the full rescan (a
+/// skipped candidate would only ever be assigned and rejected); stateful
+/// assigners (Random, User+RR, guarded fallback) keep the full scan so
+/// their internal state advances call-for-call identically.
 class CalendarEngine final : public EngineBase<CalendarEngine> {
   friend class EngineBase<CalendarEngine>;
 
@@ -710,13 +711,19 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   }
 
   /// Indexed pass: merges the per-width sublists by FCFS sequence number,
-  /// visiting only candidates whose size class can still start on *some*
-  /// machine. For a stateless assigner this starts exactly the jobs the
-  /// full rescan would: every skipped candidate would have been assigned
-  /// and then rejected by the per-machine free check (free <= max_free <
-  /// nodes_required), a no-op for a pure assign(). The per-pass work is
-  /// O(classes) per examined candidate instead of O(queue length) total.
+  /// visiting only candidates no wider than the assigner's startable
+  /// width (MachineAssigner::startable_width). For a stateless assigner
+  /// this starts exactly the jobs the full rescan would: every skipped
+  /// candidate would have been assigned and then rejected by the
+  /// per-machine free check, a no-op for a pure assign(). The bound is
+  /// recomputed after every start and may grow (Round-Robin's target
+  /// machine rotates), so each class keeps its cursor for the whole pass
+  /// and, once eligible again, catches up past the last visited sequence
+  /// number: visits stay in strict FCFS order and never revisit a job.
+  /// Only examined candidates are assigned; cursor steps over skipped
+  /// ones cost at most O(queue length) per pass.
   void schedule_pass_indexed(double now) {
+    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
     while (!queue_.empty()) {
       const std::size_t head = queue_.front();
       const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
@@ -731,45 +738,48 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
           state_[mi].earliest_fit(now, jobs_[head].nodes_required);
       int shadow_spare = projected_free - jobs_[head].nodes_required;
 
-      int max_free = 0;
-      for (const auto& s : state_) max_free = std::max(max_free, s.free);
-      if (max_free == 0) break;
+      // The bound changes only when a job starts, so a zero bound means
+      // nothing can start for the rest of the pass.
+      int bound = assigner_.startable_width(started_count_, view_);
+      if (bound <= 0) break;
 
-      // One cursor per size class that can still start somewhere. The head
-      // is the front of its class (lowest live sequence number overall),
-      // so skipping it once at cursor setup suffices.
+      // One cursor per size class. The head has the lowest live sequence
+      // number, so starting `last` at it makes the catch-up skip it too.
       cursors_.clear();
       for (std::size_t c = 0; c < queue_.num_classes(); ++c) {
-        if (queue_.class_width(c) > max_free) continue;
-        std::size_t at = queue_.class_head(c);
-        if (at == head) at = queue_.wnext(at);
+        const std::size_t at = queue_.class_head(c);
         if (at != FcfsQueue::kNull) cursors_.push_back({c, at});
       }
+      std::uint64_t last = queue_.seq(head);
 
       int scanned = 0;
       while (scanned < depth_limit_) {
-        // Free capacity only shrinks within a pass: drop classes the pool
-        // can no longer start, then take the lowest-sequence candidate.
-        std::size_t keep = 0;
-        for (std::size_t k = 0; k < cursors_.size(); ++k) {
-          if (queue_.class_width(cursors_[k].cls) <= max_free) {
-            cursors_[keep++] = cursors_[k];
+        // Lowest-sequence candidate among the classes the bound admits;
+        // exhausted cursors are dropped for good.
+        std::size_t best = kNone;
+        for (std::size_t k = 0; k < cursors_.size();) {
+          Cursor& cur = cursors_[k];
+          if (queue_.class_width(cur.cls) > bound) {
+            ++k;
+            continue;
           }
+          while (cur.at != FcfsQueue::kNull && queue_.seq(cur.at) <= last) {
+            cur.at = queue_.wnext(cur.at);
+          }
+          if (cur.at == FcfsQueue::kNull) {
+            cur = cursors_.back();
+            cursors_.pop_back();
+            continue;
+          }
+          if (best == kNone || queue_.seq(cur.at) < queue_.seq(cursors_[best].at)) {
+            best = k;
+          }
+          ++k;
         }
-        cursors_.resize(keep);
-        if (cursors_.empty()) break;
-        std::size_t best = 0;
-        for (std::size_t k = 1; k < cursors_.size(); ++k) {
-          if (queue_.seq(cursors_[k].at) < queue_.seq(cursors_[best].at)) best = k;
-        }
+        if (best == kNone) break;
         const std::size_t cand = cursors_[best].at;
-        const std::size_t nxt = queue_.wnext(cand);
-        if (nxt == FcfsQueue::kNull) {
-          cursors_[best] = cursors_.back();
-          cursors_.pop_back();
-        } else {
-          cursors_[best].at = nxt;
-        }
+        last = queue_.seq(cand);
+        cursors_[best].at = queue_.wnext(cand);
         ++scanned;
 
         const Job& job = jobs_[cand];
@@ -792,9 +802,8 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (!started) continue;
         start_job(cand, cm, now);
         queue_.erase(cand);
-        max_free = 0;
-        for (const auto& s : state_) max_free = std::max(max_free, s.free);
-        if (max_free == 0) break;
+        bound = assigner_.startable_width(started_count_, view_);
+        if (bound <= 0) break;
       }
       break;  // head stays blocked until the next event
     }

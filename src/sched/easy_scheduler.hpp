@@ -38,7 +38,7 @@ namespace mphpc::sched {
 ///
 /// kCalendar is the production engine: calendar/bucket event queues with
 /// an explicit (time, kind, seq) total order, a width-indexed FCFS queue
-/// so backfill skips job-size classes that cannot start anywhere, and
+/// so backfill skips job-size classes the assigner cannot start, and
 /// O(1)-amortised event handling — built for 10^6-job traces.
 /// kReference preserves the original binary-heap + linear-rescan engine
 /// as the golden oracle: both engines produce bit-identical
@@ -50,9 +50,11 @@ struct SchedulerOptions {
   /// Algorithm 1 scans the whole queue; production schedulers often cap
   /// the scan. 0 means unlimited (the default, matching the paper).
   /// With a stateless assigner (MachineAssigner::stateless_assign) the
-  /// calendar engine only examines — and only counts — candidates that
-  /// could start on some machine; stateful assigners see every candidate
-  /// so their internal state advances exactly as in a full scan.
+  /// calendar engine only examines — and only counts — candidates no
+  /// wider than the assigner's startable width
+  /// (MachineAssigner::startable_width); stateful assigners see every
+  /// candidate so their internal state advances exactly as in a full
+  /// scan.
   int backfill_depth = 0;
   /// Per-job checkpoint/restart policy. The default (interval 0) keeps
   /// the restart-from-zero behaviour bit-identically.

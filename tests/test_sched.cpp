@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <span>
+#include <string>
 
 #include "arch/system_catalog.hpp"
 #include "common/error.hpp"
@@ -77,6 +79,29 @@ TEST(RoundRobinAssigner, CyclesThroughMachines) {
   EXPECT_EQ(assigner.assign(job, 2, view), SystemId::kLassen);
   EXPECT_EQ(assigner.assign(job, 3, view), SystemId::kCorona);
   EXPECT_EQ(assigner.assign(job, 4, view), SystemId::kQuartz);
+}
+
+TEST(RoundRobinAssigner, StartableWidthIsTargetMachineFreeNodes) {
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  std::array<int, 4> free = {0, 5, 2, 7};
+  const ClusterView view(machines, free);
+  const RoundRobinAssigner assigner;
+  EXPECT_EQ(assigner.startable_width(0, view), 0);  // quartz is full
+  EXPECT_EQ(assigner.startable_width(1, view), 5);
+  EXPECT_EQ(assigner.startable_width(2, view), 2);
+  EXPECT_EQ(assigner.startable_width(3, view), 7);
+  EXPECT_EQ(assigner.startable_width(4, view), 0);
+}
+
+TEST(MachineAssigner, DefaultStartableWidthIsWidestFreePool) {
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  std::array<int, 4> free = {0, 5, 2, 7};
+  const ClusterView view(machines, free);
+  const ModelBasedAssigner assigner;
+  EXPECT_EQ(assigner.startable_width(0, view), 7);
+  EXPECT_EQ(assigner.startable_width(3, view), 7);
+  free = {0, 0, 0, 0};
+  EXPECT_EQ(assigner.startable_width(1, view), 0);
 }
 
 TEST(RandomAssigner, CoversAllMachinesDeterministically) {
@@ -1218,6 +1243,117 @@ TEST(EngineGolden, CollidingTimestampsResolveInJobIndexOrder) {
   }
   expect_engines_identical(jobs, machines, trace, SchedulerOptions{},
                            [] { return QuartzOnly(); });
+}
+
+// ------------------------------------------- indexed backfill bound ----
+
+/// Jobs of `widths.size()` width classes; with `mean_gap_s` > 0 they
+/// arrive as a Poisson process instead of all at t = 0.
+std::vector<Job> wide_workload(int n, std::uint64_t seed, const std::vector<int>& widths,
+                               double mean_gap_s = 0.0) {
+  std::vector<Job> jobs;
+  Rng rng(seed);
+  double submit = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const int nodes = widths[rng.below(widths.size())];
+    jobs.push_back(make_job(i, rng.uniform(1, 60), rng.uniform(1, 60),
+                            rng.uniform(1, 60), rng.uniform(1, 60), nodes,
+                            rng.bernoulli(0.4)));
+    if (mean_gap_s > 0.0) {
+      submit += -std::log(1.0 - rng.uniform()) * mean_gap_s;
+      jobs.back().submit_s = submit;
+    }
+  }
+  return jobs;
+}
+
+TEST(EngineGolden, RoundRobinBoundGrowsAcrossWidthClasses) {
+  // Machines of different sizes give Round-Robin's rotating target
+  // different free counts, so its startable width grows and shrinks
+  // within one backfill pass; with five width classes, classes leave and
+  // re-enter the pass and their cursors must catch up in FCFS order.
+  const auto machines = tiny_cluster(24, 12, 8, 6);
+  const auto jobs = wide_workload(1'500, 43, {1, 2, 3, 4, 6});
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return RoundRobinAssigner(); });
+}
+
+TEST(EngineGolden, RoundRobinBoundUnderFaultsCheckpointsAndArrivals) {
+  // Kills resubmit jobs behind later sequence numbers, node failures
+  // shrink a target's free pool mid-run, and Poisson arrivals keep the
+  // queue shape changing between passes.
+  const auto machines = tiny_cluster(24, 12, 8, 6);
+  const auto jobs = wide_workload(1'500, 47, {1, 2, 3, 4, 6}, /*mean_gap_s=*/2.0);
+  const auto model = FaultModel::uniform(3000.0, 400.0, 0.05, {}, 53);
+  const auto trace = model.generate(machines, 60'000.0);
+  ASSERT_TRUE(trace.enabled());
+  SchedulerOptions options;
+  options.checkpoint = {40.0, 2.0};
+  expect_engines_identical(jobs, machines, trace, options,
+                           [] { return RoundRobinAssigner(); });
+}
+
+TEST(EngineGolden, CustomStatelessAssignerUsesDefaultBound) {
+  // A pure assigner that does not override startable_width() runs the
+  // indexed pass under the default widest-free-pool bound.
+  class ByJobId final : public MachineAssigner {
+   public:
+    arch::SystemId assign(const Job& job, std::size_t,
+                          const ClusterView& view) override {
+      const auto& machines = view.machines();
+      return machines[static_cast<std::size_t>(job.id) % machines.size()].id;
+    }
+    bool stateless_assign() const noexcept override { return true; }
+    std::string name() const override { return "by-job-id"; }
+  };
+  const auto machines = tiny_cluster(24, 12, 8, 6);
+  const auto jobs = wide_workload(1'500, 59, {1, 2, 3, 4, 6});
+  const auto model = FaultModel::uniform(3000.0, 400.0, 0.05, {}, 61);
+  const auto trace = model.generate(machines, 60'000.0);
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return ByJobId(); });
+  expect_engines_identical(jobs, machines, trace, SchedulerOptions{},
+                           [] { return ByJobId(); });
+}
+
+/// Forwards everything the engine asks of an assigner and counts the
+/// assign() calls.
+class CountingAssigner final : public MachineAssigner {
+ public:
+  explicit CountingAssigner(MachineAssigner& inner) : inner_(inner) {}
+  arch::SystemId assign(const Job& job, std::size_t started_index,
+                        const ClusterView& view) override {
+    ++calls_;
+    return inner_.assign(job, started_index, view);
+  }
+  void prime(std::span<const Job> jobs) override { inner_.prime(jobs); }
+  bool stateless_assign() const noexcept override { return inner_.stateless_assign(); }
+  int startable_width(std::size_t started_index, const ClusterView& view) const override {
+    return inner_.startable_width(started_index, view);
+  }
+  std::string name() const override { return inner_.name(); }
+  long long calls() const noexcept { return calls_; }
+
+ private:
+  MachineAssigner& inner_;
+  long long calls_ = 0;
+};
+
+TEST(IndexedBackfill, RoundRobinAssignCallsPerJobStayBounded) {
+  // A batch that queues deeply on the real cluster. Round-Robin blocks
+  // the head on its own full target machine while the other machines
+  // keep free nodes, so bounding backfill by the cluster-wide free
+  // maximum would assign and reject most of the queue on every pass.
+  const arch::SystemCatalog catalog;
+  const auto machines = default_cluster(catalog);
+  const auto jobs = wide_workload(6'000, 67, {1, 2, 16, 64, 121});
+  RoundRobinAssigner inner;
+  CountingAssigner counting(inner);
+  const auto result = simulate(jobs, machines, counting);
+  ASSERT_EQ(result.completed_jobs, jobs.size());
+  const double per_job =
+      static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
+  EXPECT_LE(per_job, 150.0) << counting.calls() << " assign() calls";
 }
 
 // -------------------------------------------------- checkpoint planners ----

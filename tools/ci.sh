@@ -62,10 +62,14 @@ echo "==== [dev] GBT fit smoke (exact + hist) ===="
 # hold a >= 1.5x speedup over the exact compiled one — a deliberately
 # loose floor (the tracked bar is 2x on the bench build) so dev-build
 # noise cannot flake the lane, while a perf regression that defeats the
-# point of quantization still fails it.
-echo "==== [dev] compiled predict smoke (gbt + forest, exact + quantized) ===="
+# point of quantization still fails it. The same run times indexed EASY
+# backfill under Round-Robin and Model-based: Round-Robin must stay
+# within 3x of Model-based (it is ~1.6x; bounding its backfill by the
+# cluster-wide free maximum instead of its target machine's free nodes
+# makes it ~40x).
+echo "==== [dev] compiled predict smoke (gbt + forest, exact + quantized) + backfill smoke ===="
 ./build-dev/bench/bench_perf_micro \
-  --benchmark_filter='BM_(Gbt|Forest)Predict(Ref|Compiled|Quantized)/4096$|BM_AssignModelBased' \
+  --benchmark_filter='BM_(Gbt|Forest)Predict(Ref|Compiled|Quantized)/4096$|BM_AssignModelBased|BM_SimulateBackfill/' \
   --benchmark_min_time=0.1 \
   --benchmark_out=build-dev/predict_smoke.json --benchmark_out_format=json
 python3 - <<'EOF'
@@ -78,6 +82,11 @@ ratio = exact / quant
 assert ratio >= 1.5, \
     f"quantized GBT predict only {ratio:.2f}x faster than exact (want >= 1.5x)"
 print(f"predict smoke: ok (quantized GBT {ratio:.2f}x faster than exact)")
+rr = runs["BM_SimulateBackfill/rr"]
+model = runs["BM_SimulateBackfill/model"]
+assert rr <= 3.0 * model, \
+    f"Round-Robin backfill {rr / model:.2f}x slower than Model-based (want <= 3x)"
+print(f"backfill smoke: ok (Round-Robin {rr / model:.2f}x Model-based)")
 EOF
 
 # Fault-injection smoke: the sched-faults subcommand must complete a small
