@@ -461,26 +461,31 @@ void BM_SchedulerSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSimulate)->Arg(5000)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-// Indexed EASY backfill under the two pure assigners of the Fig. 7/8
-// study. Round-Robin blocks its head on the head's own full machine while
-// the other machines keep free nodes, so it only stays within a small
-// factor of Model-based when backfill is bounded by its target machine's
-// free nodes rather than by the cluster-wide free maximum.
-template <typename Assigner>
-void BM_SimulateBackfill(benchmark::State& state) {
+// EASY backfill under four Fig. 7/8 strategies. Round-Robin blocks its
+// head on the head's own full machine while the other machines keep free
+// nodes, so it only stays within a small factor of Model-based when
+// backfill is bounded by its target machine's free nodes rather than by
+// the cluster-wide free maximum. Random and User+RR take the stateful
+// full scan; they stay close to Model-based only while candidates in a
+// lane that cannot start are skipped in bulk instead of assigned.
+template <typename MakeAssigner>
+void BM_SimulateBackfill(benchmark::State& state, MakeAssigner make_assigner) {
   static const auto jobs = sampled_jobs(20000);
   const auto machines = sched::default_cluster(systems());
   for (auto _ : state) {
-    Assigner assigner;
+    auto assigner = make_assigner();
     benchmark::DoNotOptimize(sched::simulate(jobs, machines, assigner).makespan_s);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs.size()));
 }
-BENCHMARK_TEMPLATE(BM_SimulateBackfill, sched::RoundRobinAssigner)
-    ->Name("BM_SimulateBackfill/rr")
+BENCHMARK_CAPTURE(BM_SimulateBackfill, rr, [] { return sched::RoundRobinAssigner(); })
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_SimulateBackfill, sched::ModelBasedAssigner)
-    ->Name("BM_SimulateBackfill/model")
+BENCHMARK_CAPTURE(BM_SimulateBackfill, random, [] { return sched::RandomAssigner(11); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulateBackfill, user_rr,
+                  [] { return sched::UserRoundRobinAssigner(); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulateBackfill, model, [] { return sched::ModelBasedAssigner(); })
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -89,7 +89,16 @@ class Rng {
     return lo + (hi - lo) * uniform();
   }
 
+  /// Advances the stream past `n` raw draws, as `n` calls of operator()
+  /// would.
+  constexpr void discard(std::uint64_t n) noexcept {
+    for (; n > 0; --n) (void)(*this)();
+  }
+
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire's method.
+  /// Consumes exactly one operator() output for every n, so a caller may
+  /// replay k below() calls whose results it does not need as discard(k)
+  /// (sched::RandomAssigner::skip_rejected relies on this).
   constexpr std::uint64_t below(std::uint64_t n) noexcept {
     // Debiased multiply-shift; bias is < 2^-64 for the n used here, which
     // is negligible for simulation purposes and keeps this branch-light.

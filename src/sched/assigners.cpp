@@ -84,7 +84,9 @@ JobOrderCache::State JobOrderCache::lookup(const Job& job,
 }
 
 int MachineAssigner::startable_width(std::size_t /*started_index*/,
-                                     const ClusterView& view) const {
+                                     const ClusterView& view,
+                                     std::size_t lane) const {
+  MPHPC_EXPECTS(lane < kAssignLanes);
   int widest = 0;
   for (const Machine& m : view.machines()) {
     widest = std::max(widest, view.free_nodes(m.id));
@@ -93,7 +95,8 @@ int MachineAssigner::startable_width(std::size_t /*started_index*/,
 }
 
 int RoundRobinAssigner::startable_width(std::size_t started_index,
-                                        const ClusterView& view) const {
+                                        const ClusterView& view,
+                                        std::size_t /*lane*/) const {
   const auto& machines = view.machines();
   MPHPC_EXPECTS(!machines.empty());
   return view.free_nodes(machines[started_index % machines.size()].id);
@@ -111,6 +114,11 @@ arch::SystemId RandomAssigner::assign(const Job& /*job*/, std::size_t /*started_
   return view.machines()[rng_.below(view.machines().size())].id;
 }
 
+bool RandomAssigner::skip_rejected(const LaneCounts& rejected) {
+  for (const std::size_t calls : rejected) rng_.discard(calls);
+  return true;
+}
+
 arch::SystemId UserRoundRobinAssigner::assign(const Job& job,
                                               std::size_t /*started_index*/,
                                               const ClusterView& /*view*/) {
@@ -118,6 +126,20 @@ arch::SystemId UserRoundRobinAssigner::assign(const Job& job,
     return kGpuSystems[gpu_next_++ % kGpuSystems.size()];
   }
   return kCpuSystems[cpu_next_++ % kCpuSystems.size()];
+}
+
+int UserRoundRobinAssigner::startable_width(std::size_t /*started_index*/,
+                                            const ClusterView& view,
+                                            std::size_t lane) const {
+  MPHPC_EXPECTS(lane < kAssignLanes);
+  const auto& systems = lane == kGpuLane ? kGpuSystems : kCpuSystems;
+  return std::max(view.free_nodes(systems[0]), view.free_nodes(systems[1]));
+}
+
+bool UserRoundRobinAssigner::skip_rejected(const LaneCounts& rejected) {
+  cpu_next_ += rejected[kCpuLane];
+  gpu_next_ += rejected[kGpuLane];
+  return true;
 }
 
 void ModelBasedAssigner::prime(std::span<const Job> jobs) {

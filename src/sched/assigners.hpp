@@ -20,6 +20,11 @@
 
 namespace mphpc::sched {
 
+/// Number of lanes MachineAssigner::lane() may return.
+inline constexpr std::size_t kAssignLanes = 2;
+/// Per-lane counts of assign() calls (MachineAssigner::skip_rejected).
+using LaneCounts = std::array<std::size_t, kAssignLanes>;
+
 /// Strategy interface: `Machine(j, i, M)` in the paper's notation, where
 /// `started_index` is the count of jobs started so far (the paper's i).
 class MachineAssigner {
@@ -42,23 +47,49 @@ class MachineAssigner {
   /// a pure function of (job, started_index, view) — no internal state
   /// advances per call. The engine's indexed backfill path may then skip
   /// candidates wider than startable_width() without calling assign() on
-  /// them; stateful assigners (Random's RNG, User+RR's rotation) must see
-  /// every candidate so their state advances identically to a full scan.
-  /// Default: stateful.
+  /// them. A stateful assigner (Random's RNG, User+RR's rotation) must
+  /// see every candidate's call, or have it replayed by skip_rejected(),
+  /// so its state advances identically to a full scan. Default: stateful.
   [[nodiscard]] virtual bool stateless_assign() const noexcept {
     return false;
   }
 
-  /// Widest job that assign(job, started_index, view) could place on a
-  /// machine with room for it right now. Only consulted when
-  /// stateless_assign() is true: the indexed backfill pass skips every
-  /// candidate wider than this bound without calling assign(), so an
-  /// override may be tight but must never under-report. The bound may
-  /// change only when a job starts (started_index or the view changes).
-  /// Default: the widest free pool in the cluster, which holds for any
-  /// assigner.
+  /// Lane of `job`, below kAssignLanes. A rejected assign() call advances
+  /// the internal state the same way for every job of one lane, and calls
+  /// in different lanes commute, so skip_rejected() can replay rejected
+  /// calls from per-lane counts alone. Must be a pure function of the job
+  /// for the job set passed to the latest prime(): the engine caches it.
+  /// Default: one lane.
+  [[nodiscard]] virtual std::size_t lane(const Job& job) const noexcept {
+    (void)job;
+    return 0;
+  }
+
+  /// Widest job of `lane` that assign(job, started_index, view) could
+  /// place on a machine with room for it right now; every wider job of
+  /// that lane would be assigned and rejected. Backfill uses it to pass
+  /// candidates by without calling assign(), so an override may be tight
+  /// but must never under-report. The bound may change only when a job
+  /// starts (started_index or the view changes). The indexed pass of a
+  /// stateless assigner takes the widest bound over the queued lanes; the
+  /// full scan of an assigner whose skip_rejected() replays calls takes
+  /// each lane's own bound, and there it must not grow while free nodes
+  /// only shrink. Default: the widest free pool in the cluster, which
+  /// holds for any assigner and lane.
   [[nodiscard]] virtual int startable_width(std::size_t started_index,
-                                            const ClusterView& view) const;
+                                            const ClusterView& view,
+                                            std::size_t lane) const;
+
+  /// Advances the internal state exactly as `rejected[l]` assign() calls
+  /// on jobs of lane l would when each returns a machine without room for
+  /// its job, and returns true. Returns false, changing nothing, when the
+  /// assigner cannot replay calls; the engine probes with all-zero counts
+  /// after prime() and, on false, keeps calling assign() on every
+  /// candidate of the full-scan backfill. Default: false.
+  [[nodiscard]] virtual bool skip_rejected(const LaneCounts& rejected) {
+    (void)rejected;
+    return false;
+  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -107,9 +138,9 @@ class RoundRobinAssigner final : public MachineAssigner {
   [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
   /// assign() ignores the job, so only jobs that fit the free nodes of
   /// this start's target machine can start, whatever the other machines
-  /// have free.
-  [[nodiscard]] int startable_width(std::size_t started_index,
-                                    const ClusterView& view) const override;
+  /// have free. Every job is in lane 0, so the lane is ignored.
+  [[nodiscard]] int startable_width(std::size_t started_index, const ClusterView& view,
+                                    std::size_t lane) const override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 };
 
@@ -119,6 +150,9 @@ class RandomAssigner final : public MachineAssigner {
   explicit RandomAssigner(std::uint64_t seed) noexcept : rng_(seed) {}
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
+  /// Every call consumes exactly one raw draw (Rng::below), whatever the
+  /// job, so one lane suffices and a rejected call is one discarded draw.
+  [[nodiscard]] bool skip_rejected(const LaneCounts& rejected) override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
  private:
@@ -129,8 +163,20 @@ class RandomAssigner final : public MachineAssigner {
 /// GPU systems, CPU-only apps round-robin over the CPU systems.
 class UserRoundRobinAssigner final : public MachineAssigner {
  public:
+  static constexpr std::size_t kCpuLane = 0;
+  static constexpr std::size_t kGpuLane = 1;
+
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
+  /// The lane picks the rotation counter a call advances: CPU or GPU.
+  [[nodiscard]] std::size_t lane(const Job& job) const noexcept override {
+    return job.gpu_capable ? kGpuLane : kCpuLane;
+  }
+  /// A lane's jobs only go to its two machines, so only jobs that fit
+  /// the wider of their free pools can start.
+  [[nodiscard]] int startable_width(std::size_t started_index, const ClusterView& view,
+                                    std::size_t lane) const override;
+  [[nodiscard]] bool skip_rejected(const LaneCounts& rejected) override;
   [[nodiscard]] std::string name() const override { return "User+RR"; }
 
  private:

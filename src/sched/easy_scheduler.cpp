@@ -88,16 +88,26 @@ struct RunningRef {
 /// monotone sequence number is stamped on every push, so resubmissions
 /// re-enter at the back). The width sublists let the indexed backfill
 /// path merge only the size classes the assigner could still start,
-/// instead of walking every queued job. A job is in the queue at most
-/// once at a time (queued -> running -> pending -> queued), which is what
-/// makes the intrusive per-job links sound.
+/// instead of walking every queued job. The queue also counts its jobs
+/// per assigner lane (MachineAssigner::lane), which lets the full-scan
+/// pass skip the rest of the queue in O(1) once no lane can start. A job
+/// is in the queue at most once at a time (queued -> running -> pending
+/// -> queued), which is what makes the intrusive per-job links sound.
 class FcfsQueue {
  public:
   static constexpr std::size_t kNull = std::numeric_limits<std::size_t>::max();
 
-  /// Sizes the per-job link arrays and discovers the width classes.
-  void init(const std::vector<Job>& jobs) {
+  /// Sizes the per-job link arrays, discovers the width classes and
+  /// caches each job's lane. Call after assigner.prime().
+  void init(const std::vector<Job>& jobs, const MachineAssigner& assigner) {
     const std::size_t n = jobs.size();
+    lane_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t lane = assigner.lane(jobs[i]);
+      MPHPC_EXPECTS(lane < kAssignLanes);
+      lane_[i] = static_cast<std::uint8_t>(lane);
+    }
+    lane_size_ = {};
     next_.assign(n, kNull);
     prev_.assign(n, kNull);
     wnext_.assign(n, kNull);
@@ -134,6 +144,7 @@ class FcfsQueue {
     if (c.tail == kNull) c.head = j; else wnext_[c.tail] = j;
     c.tail = j;
     ++size_;
+    ++lane_size_[lane_[j]];
   }
 
   void erase(std::size_t j) {
@@ -144,6 +155,7 @@ class FcfsQueue {
     if (wprev_[j] == kNull) c.head = wnext_[j]; else wnext_[wprev_[j]] = wnext_[j];
     if (wnext_[j] == kNull) c.tail = wprev_[j]; else wprev_[wnext_[j]] = wprev_[j];
     --size_;
+    --lane_size_[lane_[j]];
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -158,6 +170,18 @@ class FcfsQueue {
     return classes_[c].head;
   }
   [[nodiscard]] std::size_t wnext(std::size_t j) const noexcept { return wnext_[j]; }
+  [[nodiscard]] std::size_t lane(std::size_t j) const noexcept { return lane_[j]; }
+  /// Queued jobs per lane.
+  [[nodiscard]] const LaneCounts& lane_sizes() const noexcept { return lane_size_; }
+
+  /// Width of the narrowest queued job (INT_MAX when empty).
+  [[nodiscard]] int narrowest_width() const noexcept {
+    int narrowest = std::numeric_limits<int>::max();
+    for (const Class& c : classes_) {
+      if (c.head != kNull) narrowest = std::min(narrowest, c.width);
+    }
+    return narrowest;
+  }
 
  private:
   struct Class {
@@ -171,6 +195,8 @@ class FcfsQueue {
   std::vector<std::uint64_t> seq_;
   std::vector<std::size_t> cls_;  // job -> class slot
   std::vector<Class> classes_;
+  std::vector<std::uint8_t> lane_;  // job -> assigner lane
+  LaneCounts lane_size_{};
   std::size_t head_ = kNull;
   std::size_t tail_ = kNull;
   std::size_t size_ = 0;
@@ -598,14 +624,43 @@ class ReferenceEngine final : public EngineBase<ReferenceEngine> {
       kills_;
 };
 
+/// Per-pass state of the full-scan backfill's lane skip
+/// (CalendarEngine::schedule_pass_scan).
+struct LaneScan {
+  LaneCounts left{};     ///< queued candidates not yet visited, per lane
+  LaneCounts skipped{};  ///< rejected assign() calls to replay, per lane
+  /// Startable width per lane (MachineAssigner::startable_width).
+  std::array<int, kAssignLanes> bound{};
+  int narrowest = 0;  ///< narrowest queued width at the start of the pass
+
+  /// Visits a candidate of lane `l`; true when its assign() call could
+  /// only be rejected, in which case it is counted for replay instead.
+  [[nodiscard]] bool skip(std::size_t l) noexcept {
+    --left[l];
+    if (bound[l] >= narrowest) return false;
+    ++skipped[l];
+    return true;
+  }
+
+  /// True when no lane can start any of its remaining candidates.
+  [[nodiscard]] bool all_doomed() const noexcept {
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      if (left[l] > 0 && bound[l] >= narrowest) return false;
+    }
+    return true;
+  }
+};
+
 /// The production engine (SimEngineKind::kCalendar): calendar queues for
 /// releases and kills, and a width-indexed FCFS queue so backfill skips
 /// whole job-size classes wider than the assigner's startable width
 /// (MachineAssigner::startable_width). With a stateless assigner the
 /// indexed scan provably starts the same jobs as the full rescan (a
-/// skipped candidate would only ever be assigned and rejected); stateful
+/// skipped candidate would only ever be assigned and rejected). Stateful
 /// assigners (Random, User+RR, guarded fallback) keep the full scan so
-/// their internal state advances call-for-call identically.
+/// their internal state advances call-for-call identically; those that
+/// can replay rejected calls (MachineAssigner::skip_rejected) have the
+/// calls of lanes that cannot start replayed in bulk instead of made.
 class CalendarEngine final : public EngineBase<CalendarEngine> {
   friend class EngineBase<CalendarEngine>;
 
@@ -614,10 +669,12 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
  private:
   void init_queues() {
-    queue_.init(jobs_);
+    queue_.init(jobs_, assigner_);
     // Must be read after prime(): GuardedModelBasedAssigner only knows
     // whether every job takes the pure model path once primed.
     indexed_ = assigner_.stateless_assign();
+    // Zero counts make the probe a no-op that only reports support.
+    lane_skip_ = !indexed_ && assigner_.skip_rejected(LaneCounts{});
   }
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
   void queue_push_back(std::size_t i) { queue_.push_back(i); }
@@ -659,9 +716,17 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     }
   }
 
-  /// Full-rescan pass over the intrusive queue — candidate visits, assign
-  /// calls, and depth counting all match ReferenceEngine::schedule_pass
-  /// one-for-one (required for stateful assigners).
+  /// Full-rescan pass over the intrusive queue — candidate visits and
+  /// depth counting match ReferenceEngine::schedule_pass one-for-one, and
+  /// so do the assign() calls unless the assigner replays rejected ones
+  /// (lane_skip_). Then a candidate whose lane is doomed — the lane's
+  /// startable width is below the narrowest queued job — is counted, not
+  /// assigned: its call could only be rejected. Free nodes only shrink
+  /// within a pass, so a doomed lane stays doomed and makes no real call
+  /// after its first counted one; lanes commute, so replaying the counts
+  /// in one skip_rejected() at the end of the pass leaves the assigner's
+  /// state exactly as the full scan would. Once every lane is doomed or
+  /// out of candidates, the rest of the queue is counted in O(1).
   void schedule_pass_scan(double now) {
     while (!queue_.empty()) {
       const std::size_t head = queue_.front();
@@ -681,33 +746,98 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
       for (const auto& s : state_) max_free = std::max(max_free, s.free);
       if (max_free == 0) break;
 
+      LaneScan lanes;
+      if (lane_skip_) {
+        lanes.left = queue_.lane_sizes();
+        --lanes.left[queue_.lane(head)];
+        lanes.narrowest = queue_.narrowest_width();
+        lanes.bound.fill(std::numeric_limits<int>::max());
+        refresh_lane_bounds(lanes);
+      }
       int scanned = 0;
       for (std::size_t it = queue_.next(head);
            it != FcfsQueue::kNull && scanned < depth_limit_; ++scanned) {
+        if (lane_skip_ && lanes.all_doomed()) {
+          count_rest(it, depth_limit_ - scanned, lanes);
+          break;
+        }
         const std::size_t cand = it;
         it = queue_.next(it);  // advance before a possible erase
+        if (lane_skip_ && lanes.skip(queue_.lane(cand))) continue;
         const Job& job = jobs_[cand];
         const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
         const auto ci = static_cast<std::size_t>(cm);
         if (state_[ci].free < job.nodes_required) continue;
+        bool started = false;
         if (cm != m) {
-          start_job(cand, cm, now);
-          queue_.erase(cand);
-          continue;
+          started = true;
+        } else {
+          // Same machine as the reservation: must not delay the head.
+          const double end = now + job.runtime[ci];
+          if (end <= shadow_time) {
+            started = true;
+          } else if (shadow_spare >= job.nodes_required) {
+            shadow_spare -= job.nodes_required;
+            started = true;
+          }
         }
-        // Same machine as the reservation: must not delay the head.
-        const double end = now + job.runtime[ci];
-        if (end <= shadow_time) {
-          start_job(cand, cm, now);
-          queue_.erase(cand);
-        } else if (shadow_spare >= job.nodes_required) {
-          shadow_spare -= job.nodes_required;
-          start_job(cand, cm, now);
-          queue_.erase(cand);
-        }
+        if (!started) continue;
+        start_job(cand, cm, now);
+        queue_.erase(cand);
+        if (lane_skip_) refresh_lane_bounds(lanes);
+      }
+      if (lanes.skipped != LaneCounts{}) {
+        const bool replayed = assigner_.skip_rejected(lanes.skipped);
+        MPHPC_ASSERT(replayed);
       }
       break;  // head stays blocked until the next event
     }
+  }
+
+  /// Re-reads every lane's startable width after a start.
+  void refresh_lane_bounds(LaneScan& lanes) const {
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      const int bound = assigner_.startable_width(started_count_, view_, l);
+      // A bound that grew could revive a doomed lane after some of its
+      // calls were counted, and replaying them late would reorder them.
+      MPHPC_ASSERT(bound <= lanes.bound[l]);
+      lanes.bound[l] = bound;
+    }
+  }
+
+  /// Counts as rejected the candidates from `it` on, at most `budget` of
+  /// them: every lane is doomed or out of candidates.
+  void count_rest(std::size_t it, int budget, LaneScan& lanes) const {
+    MPHPC_ASSERT(budget > 0);
+    const auto limit = static_cast<std::size_t>(budget);
+    std::size_t total = 0;
+    for (const std::size_t n : lanes.left) total += n;
+    MPHPC_ASSERT(total > 0);
+    if (total <= limit) {
+      for (std::size_t l = 0; l < kAssignLanes; ++l) lanes.skipped[l] += lanes.left[l];
+      return;
+    }
+    // The depth budget ends inside the suffix: only candidates within it
+    // count, so walk them unless they all share one lane.
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      if (lanes.left[l] == total) {
+        lanes.skipped[l] += limit;
+        return;
+      }
+    }
+    for (std::size_t k = 0; k < limit; ++k, it = queue_.next(it)) {
+      ++lanes.skipped[queue_.lane(it)];
+    }
+  }
+
+  /// Indexed-pass bound: the widest startable job of any queued lane.
+  [[nodiscard]] int widest_startable() const {
+    int widest = 0;
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      if (queue_.lane_sizes()[l] == 0) continue;
+      widest = std::max(widest, assigner_.startable_width(started_count_, view_, l));
+    }
+    return widest;
   }
 
   /// Indexed pass: merges the per-width sublists by FCFS sequence number,
@@ -740,7 +870,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
       // The bound changes only when a job starts, so a zero bound means
       // nothing can start for the rest of the pass.
-      int bound = assigner_.startable_width(started_count_, view_);
+      int bound = widest_startable();
       if (bound <= 0) break;
 
       // One cursor per size class. The head has the lowest live sequence
@@ -802,7 +932,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (!started) continue;
         start_job(cand, cm, now);
         queue_.erase(cand);
-        bound = assigner_.startable_width(started_count_, view_);
+        bound = widest_startable();
         if (bound <= 0) break;
       }
       break;  // head stays blocked until the next event
@@ -819,6 +949,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   CalendarQueue kills_;
   std::vector<Cursor> cursors_;  // scratch, reused across passes
   bool indexed_ = false;
+  bool lane_skip_ = false;  // full scan replays doomed lanes' calls in bulk
 };
 
 }  // namespace

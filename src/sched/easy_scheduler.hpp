@@ -52,9 +52,12 @@ struct SchedulerOptions {
   /// With a stateless assigner (MachineAssigner::stateless_assign) the
   /// calendar engine only examines — and only counts — candidates no
   /// wider than the assigner's startable width
-  /// (MachineAssigner::startable_width); stateful assigners see every
-  /// candidate so their internal state advances exactly as in a full
-  /// scan.
+  /// (MachineAssigner::startable_width). Stateful assigners take the
+  /// full scan, which counts every candidate as the reference engine
+  /// does; for one that replays rejected calls
+  /// (MachineAssigner::skip_rejected), candidates of a lane that cannot
+  /// start are counted without an assign() call, so its internal state
+  /// still advances exactly as in a full scan.
   int backfill_depth = 0;
   /// Per-job checkpoint/restart policy. The default (interval 0) keeps
   /// the restart-from-zero behaviour bit-identically.

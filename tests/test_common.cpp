@@ -75,6 +75,31 @@ TEST(Rng, BelowCoversAllValues) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
+TEST(Rng, BelowConsumesExactlyOneDraw) {
+  // sched::RandomAssigner replays rejected assign() calls as discarded
+  // draws, which is exact only while below(n) takes one operator() output
+  // whatever n is — including n = 1 and n far from a power of two.
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{4}, std::uint64_t{7}, std::uint64_t{1000},
+                                (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    Rng by_below(41);
+    Rng by_draw(41);
+    for (int i = 0; i < 64; ++i) (void)by_below.below(n);
+    for (int i = 0; i < 64; ++i) (void)by_draw();
+    EXPECT_EQ(by_below(), by_draw()) << "n = " << n;
+  }
+}
+
+TEST(Rng, DiscardMatchesRawDraws) {
+  for (const std::uint64_t k : {0u, 1u, 5u, 1000u}) {
+    Rng skipped(43);
+    Rng drawn(43);
+    skipped.discard(k);
+    for (std::uint64_t i = 0; i < k; ++i) (void)drawn();
+    EXPECT_EQ(skipped(), drawn()) << "k = " << k;
+  }
+}
+
 TEST(Rng, RangeInclusive) {
   Rng rng(5);
   std::set<std::int64_t> seen;

@@ -86,11 +86,12 @@ TEST(RoundRobinAssigner, StartableWidthIsTargetMachineFreeNodes) {
   std::array<int, 4> free = {0, 5, 2, 7};
   const ClusterView view(machines, free);
   const RoundRobinAssigner assigner;
-  EXPECT_EQ(assigner.startable_width(0, view), 0);  // quartz is full
-  EXPECT_EQ(assigner.startable_width(1, view), 5);
-  EXPECT_EQ(assigner.startable_width(2, view), 2);
-  EXPECT_EQ(assigner.startable_width(3, view), 7);
-  EXPECT_EQ(assigner.startable_width(4, view), 0);
+  EXPECT_EQ(assigner.startable_width(0, view, 0), 0);  // quartz is full
+  EXPECT_EQ(assigner.startable_width(1, view, 0), 5);
+  EXPECT_EQ(assigner.startable_width(2, view, 0), 2);
+  EXPECT_EQ(assigner.startable_width(3, view, 0), 7);
+  EXPECT_EQ(assigner.startable_width(4, view, 0), 0);
+  EXPECT_EQ(assigner.startable_width(1, view, 1), 5);  // the lane is ignored
 }
 
 TEST(MachineAssigner, DefaultStartableWidthIsWidestFreePool) {
@@ -98,10 +99,56 @@ TEST(MachineAssigner, DefaultStartableWidthIsWidestFreePool) {
   std::array<int, 4> free = {0, 5, 2, 7};
   const ClusterView view(machines, free);
   const ModelBasedAssigner assigner;
-  EXPECT_EQ(assigner.startable_width(0, view), 7);
-  EXPECT_EQ(assigner.startable_width(3, view), 7);
+  EXPECT_EQ(assigner.startable_width(0, view, 0), 7);
+  EXPECT_EQ(assigner.startable_width(3, view, 0), 7);
+  EXPECT_EQ(assigner.startable_width(3, view, 1), 7);
   free = {0, 0, 0, 0};
-  EXPECT_EQ(assigner.startable_width(1, view), 0);
+  EXPECT_EQ(assigner.startable_width(1, view, 0), 0);
+}
+
+TEST(MachineAssigner, DefaultHooksKeepOneLaneAndCannotSkip) {
+  ModelBasedAssigner assigner;
+  EXPECT_EQ(assigner.lane(make_job(0, 1, 1, 1, 1, 1, /*gpu=*/true)), 0u);
+  EXPECT_FALSE(assigner.skip_rejected(LaneCounts{}));
+  EXPECT_FALSE(assigner.skip_rejected(LaneCounts{3, 4}));
+}
+
+TEST(RandomAssigner, SkipRejectedDiscardsOneDrawPerCall) {
+  const auto machines = tiny_cluster();
+  std::array<int, 4> free = {0, 0, 0, 0};
+  const ClusterView view(machines, free);
+  RandomAssigner skipped(13);
+  RandomAssigner called(13);
+  const Job job = make_job(0, 1, 1, 1, 1, 1, /*gpu=*/true);
+  EXPECT_EQ(skipped.lane(job), 0u);
+  EXPECT_TRUE(skipped.skip_rejected(LaneCounts{}));
+  EXPECT_TRUE(skipped.skip_rejected(LaneCounts{37, 0}));
+  for (int i = 0; i < 37; ++i) (void)called.assign(job, 0, view);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(skipped.assign(job, 0, view), called.assign(job, 0, view)) << i;
+  }
+}
+
+TEST(UserRoundRobinAssigner, LanesBoundAndSkipPerDeviceClass) {
+  const auto machines = tiny_cluster(8, 8, 8, 8);
+  std::array<int, 4> free = {1, 3, 0, 2};
+  const ClusterView view(machines, free);
+  const Job gpu_job = make_job(0, 1, 1, 1, 1, 1, /*gpu=*/true);
+  const Job cpu_job = make_job(1, 1, 1, 1, 1, 1, /*gpu=*/false);
+  UserRoundRobinAssigner skipped;
+  EXPECT_EQ(skipped.lane(cpu_job), UserRoundRobinAssigner::kCpuLane);
+  EXPECT_EQ(skipped.lane(gpu_job), UserRoundRobinAssigner::kGpuLane);
+  // Quartz/Ruby for the CPU lane, Lassen/Corona for the GPU lane.
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kCpuLane), 3);
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kGpuLane), 2);
+  // Three CPU calls and one GPU call, replayed from counts.
+  LaneCounts rejected{};
+  rejected[UserRoundRobinAssigner::kCpuLane] = 3;
+  rejected[UserRoundRobinAssigner::kGpuLane] = 1;
+  EXPECT_TRUE(skipped.skip_rejected(rejected));
+  EXPECT_EQ(skipped.assign(cpu_job, 0, view), SystemId::kRuby);
+  EXPECT_EQ(skipped.assign(gpu_job, 0, view), SystemId::kCorona);
+  EXPECT_EQ(skipped.assign(cpu_job, 0, view), SystemId::kQuartz);
 }
 
 TEST(RandomAssigner, CoversAllMachinesDeterministically) {
@@ -1247,10 +1294,11 @@ TEST(EngineGolden, CollidingTimestampsResolveInJobIndexOrder) {
 
 // ------------------------------------------- indexed backfill bound ----
 
-/// Jobs of `widths.size()` width classes; with `mean_gap_s` > 0 they
-/// arrive as a Poisson process instead of all at t = 0.
+/// Jobs of `widths.size()` width classes, a `gpu_share` of them
+/// GPU-capable; with `mean_gap_s` > 0 they arrive as a Poisson process
+/// instead of all at t = 0.
 std::vector<Job> wide_workload(int n, std::uint64_t seed, const std::vector<int>& widths,
-                               double mean_gap_s = 0.0) {
+                               double mean_gap_s = 0.0, double gpu_share = 0.4) {
   std::vector<Job> jobs;
   Rng rng(seed);
   double submit = 0.0;
@@ -1258,7 +1306,7 @@ std::vector<Job> wide_workload(int n, std::uint64_t seed, const std::vector<int>
     const int nodes = widths[rng.below(widths.size())];
     jobs.push_back(make_job(i, rng.uniform(1, 60), rng.uniform(1, 60),
                             rng.uniform(1, 60), rng.uniform(1, 60), nodes,
-                            rng.bernoulli(0.4)));
+                            rng.bernoulli(gpu_share)));
     if (mean_gap_s > 0.0) {
       submit += -std::log(1.0 - rng.uniform()) * mean_gap_s;
       jobs.back().submit_s = submit;
@@ -1328,8 +1376,13 @@ class CountingAssigner final : public MachineAssigner {
   }
   void prime(std::span<const Job> jobs) override { inner_.prime(jobs); }
   bool stateless_assign() const noexcept override { return inner_.stateless_assign(); }
-  int startable_width(std::size_t started_index, const ClusterView& view) const override {
-    return inner_.startable_width(started_index, view);
+  std::size_t lane(const Job& job) const noexcept override { return inner_.lane(job); }
+  int startable_width(std::size_t started_index, const ClusterView& view,
+                      std::size_t lane) const override {
+    return inner_.startable_width(started_index, view, lane);
+  }
+  bool skip_rejected(const LaneCounts& rejected) override {
+    return inner_.skip_rejected(rejected);
   }
   std::string name() const override { return inner_.name(); }
   long long calls() const noexcept { return calls_; }
@@ -1354,6 +1407,106 @@ TEST(IndexedBackfill, RoundRobinAssignCallsPerJobStayBounded) {
   const double per_job =
       static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
   EXPECT_LE(per_job, 150.0) << counting.calls() << " assign() calls";
+}
+
+// ------------------------------------------------ lane-skipped full scan ----
+
+TEST(EngineGolden, UserRrGpuLaneDoomedWhileCpuLaneStarts) {
+  // Two-node GPU machines under a GPU-heavy batch fill first, so the GPU
+  // lane's calls are counted while the roomy CPU machines keep starting
+  // CPU jobs behind them in the same pass.
+  const auto machines = tiny_cluster(16, 8, 2, 2);
+  const auto jobs = wide_workload(1'500, 71, {1, 2}, 0.0, /*gpu_share=*/0.75);
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return UserRoundRobinAssigner(); });
+  // Kills, node failures, checkpoints and Poisson arrivals change both
+  // lanes' free pools and queue shapes between passes.
+  const auto arrivals =
+      wide_workload(1'500, 73, {1, 2}, /*mean_gap_s=*/2.0, /*gpu_share=*/0.75);
+  const auto model = FaultModel::uniform(3000.0, 400.0, 0.05, {}, 79);
+  const auto trace = model.generate(machines, 60'000.0);
+  ASSERT_TRUE(trace.enabled());
+  SchedulerOptions options;
+  options.checkpoint = {40.0, 2.0};
+  expect_engines_identical(arrivals, machines, trace, options,
+                           [] { return UserRoundRobinAssigner(); });
+}
+
+TEST(EngineGolden, CpuOnlyWorkloadLeavesOneLaneEmpty) {
+  // No GPU job ever queues, so User+RR's GPU lane has no candidates and
+  // the CPU lane alone decides when the rest of the queue is skipped.
+  const auto machines = tiny_cluster(6, 4, 3, 3);
+  const auto jobs = wide_workload(1'500, 83, {1, 2, 3}, 0.0, /*gpu_share=*/0.0);
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return UserRoundRobinAssigner(); });
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return RandomAssigner(89); });
+}
+
+TEST(EngineGolden, DepthBudgetEndsInsideDoomedSuffix) {
+  // A 1,500-job batch queues far deeper than the budget, so once the
+  // cluster fills the budget ends inside the skipped suffix: only the
+  // candidates within it may be replayed. Both lanes mixed (the walk) and
+  // one lane alone (the shortcut) are covered.
+  const auto machines = tiny_cluster(6, 4, 3, 3);
+  for (const double gpu_share : {0.4, 0.0}) {
+    const auto jobs = wide_workload(1'500, 97, {1, 2, 3}, 0.0, gpu_share);
+    for (const int depth : {64, 256}) {
+      SchedulerOptions options;
+      options.backfill_depth = depth;
+      expect_engines_identical(jobs, machines, FaultTrace::none(), options,
+                               [] { return RandomAssigner(101); });
+      expect_engines_identical(jobs, machines, FaultTrace::none(), options,
+                               [] { return UserRoundRobinAssigner(); });
+    }
+  }
+}
+
+TEST(EngineGolden, CustomStatefulAssignerOnDefaultHooks) {
+  // A stateful assigner that keeps the default lane(), startable_width()
+  // and skip_rejected() is never skipped: every candidate is assigned.
+  class CountingRotation final : public MachineAssigner {
+   public:
+    arch::SystemId assign(const Job& job, std::size_t,
+                          const ClusterView& view) override {
+      const auto& machines = view.machines();
+      const auto k = static_cast<std::size_t>(job.id) + calls_++;
+      return machines[k % machines.size()].id;
+    }
+    std::string name() const override { return "counting-rotation"; }
+
+   private:
+    std::size_t calls_ = 0;
+  };
+  const auto machines = tiny_cluster(6, 4, 3, 3);
+  const auto jobs = wide_workload(1'500, 103, {1, 2, 3});
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return CountingRotation(); });
+  SchedulerOptions options;
+  options.backfill_depth = 64;
+  expect_engines_identical(jobs, machines, FaultTrace::none(), options,
+                           [] { return CountingRotation(); });
+}
+
+TEST(ScanBackfill, StatefulAssignCallsPerJobStayBounded) {
+  // A deep batch on the real cluster. Random and User+RR must replay
+  // every candidate's call, but once the machines a lane can use are
+  // full its calls are counted, not made; assigning the whole queue on
+  // every pass instead costs ~411 (Random) and ~1,087 (User+RR) calls
+  // per job here.
+  const arch::SystemCatalog catalog;
+  const auto machines = default_cluster(catalog);
+  const auto jobs = wide_workload(6'000, 67, {1, 2});
+  const auto per_job = [&](MachineAssigner& inner) {
+    CountingAssigner counting(inner);
+    const auto result = simulate(jobs, machines, counting);
+    EXPECT_EQ(result.completed_jobs, jobs.size());
+    return static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
+  };
+  RandomAssigner random(71);
+  EXPECT_LE(per_job(random), 60.0);
+  UserRoundRobinAssigner user_rr;
+  EXPECT_LE(per_job(user_rr), 100.0);
 }
 
 // -------------------------------------------------- checkpoint planners ----
