@@ -186,7 +186,7 @@ void BM_GbtPredict(benchmark::State& state) {
 BENCHMARK(BM_GbtPredict)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- compiled batch inference ----
-// Reference node-walking predict vs the flattened SoA engine
+// Reference node-walking predict vs the compiled bin-code engine
 // (ml/compiled_ensemble.hpp) on the same model and a 4096-row batch.
 // Single-threaded on both sides so the ratio is the per-core speedup.
 
@@ -234,17 +234,21 @@ void BM_GbtPredictCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtPredictCompiled)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-// Quantized bin-code engine on the same model/rows: uint8 row codes +
-// uint8 threshold compares + uint16 children, so one output's trees stay
-// L1-resident. Lossless for this model, so the ratio to
-// BM_GbtPredictCompiled is pure kernel speedup.
-void BM_GbtPredictQuantized(benchmark::State& state) {
-  const auto compiled =
-      ml::CompiledEnsemble::compile(predict_gbt_model(), {.quantize = true});
-  if (!compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
+// The same engine on an exact-greedy model: exact training mints fresh
+// midpoint thresholds every round, so some feature passes 255 distinct
+// cuts and the model compiles to the wide (64-bit word, uint16 code) pool.
+void BM_GbtPredictCompiledWide(benchmark::State& state) {
+  static const ml::GbtRegressor model = [] {
+    const auto& f = FitFixture::get();
+    ml::GbtOptions options;
+    options.n_rounds = 50;
+    options.max_depth = 6;
+    options.tree_method = ml::GbtTreeMethod::kExact;
+    ml::GbtRegressor m(options);
+    m.fit(f.x, f.y);
+    return m;
+  }();
+  const auto compiled = ml::CompiledEnsemble::compile(model);
   const ml::Matrix x =
       tiled_rows(FitFixture::get().x, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -252,36 +256,21 @@ void BM_GbtPredictQuantized(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
 }
-BENCHMARK(BM_GbtPredictQuantized)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GbtPredictCompiledWide)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-// Compile-time cost of each engine (the price paid at train/load/refit).
-void BM_GbtCompileExact(benchmark::State& state) {
+// Compile-time cost (the price paid at train/load/refit).
+void BM_GbtCompile(benchmark::State& state) {
   const auto& model = predict_gbt_model();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::CompiledEnsemble::compile(model).n_nodes());
   }
 }
-BENCHMARK(BM_GbtCompileExact)->Unit(benchmark::kMillisecond);
-
-void BM_GbtCompileQuantized(benchmark::State& state) {
-  const auto& model = predict_gbt_model();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ml::CompiledEnsemble::compile(model, {.quantize = true}).quantized());
-  }
-}
-BENCHMARK(BM_GbtCompileQuantized)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GbtCompile)->Unit(benchmark::kMillisecond);
 
 // The serve hot path: one row through the thread-local-scratch overload,
-// asserting the steady state allocates nothing (arg 0 = exact engine,
-// arg 1 = quantized).
+// asserting the steady state allocates nothing.
 void BM_GbtPredictRowServe(benchmark::State& state) {
-  const auto compiled = ml::CompiledEnsemble::compile(
-      predict_gbt_model(), {.quantize = state.range(0) != 0});
-  if (state.range(0) != 0 && !compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
+  const auto compiled = ml::CompiledEnsemble::compile(predict_gbt_model());
   const auto& f = FitFixture::get();
   std::vector<double> out(compiled.n_outputs());
   // Warm the thread-local scratch so the timed loop is steady state.
@@ -295,17 +284,14 @@ void BM_GbtPredictRowServe(benchmark::State& state) {
   }
   if (allocated) state.SkipWithError("predict_row allocated on the hot path");
 }
-BENCHMARK(BM_GbtPredictRowServe)->Arg(0)->Arg(1);
+BENCHMARK(BM_GbtPredictRowServe);
 
 const ml::RandomForest& predict_forest_model() {
   static const ml::RandomForest model = [] {
     const auto& f = FitFixture::get();
     ml::ForestOptions options;
     options.n_trees = 25;
-    // Histogram split search: the thresholds then come from <= max_bins
-    // bin edges per feature, so the same model also serves quantized —
-    // Ref / Compiled / Quantized rows compare one model. (Exact-grown
-    // forests mint too many distinct thresholds for the uint8 cut table.)
+    // Hist-grown: at most max_bins cuts per feature, so the narrow pool.
     options.method = ml::TreeMethod::kHist;
     ml::RandomForest m(options);
     m.fit(f.x, f.y);
@@ -335,22 +321,6 @@ void BM_ForestPredictCompiled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
 }
 BENCHMARK(BM_ForestPredictCompiled)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-void BM_ForestPredictQuantized(benchmark::State& state) {
-  const auto compiled =
-      ml::CompiledEnsemble::compile(predict_forest_model(), {.quantize = true});
-  if (!compiled.quantized()) {
-    state.SkipWithError("model did not quantize");
-    return;
-  }
-  const ml::Matrix x =
-      tiled_rows(FitFixture::get().x, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.predict(x).flat().data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.rows()));
-}
-BENCHMARK(BM_ForestPredictQuantized)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_ForestFit(benchmark::State& state) {
   const auto& f = FitFixture::get();

@@ -134,6 +134,13 @@ FeaturePipeline FeaturePipeline::deserialize(std::string_view text) {
     if (parts.size() != 2) throw ParseError("feature pipeline: bad row");
     p.means_[j] = parse_double(parts[0]);
     p.stds_[j] = parse_double(parts[1]);
+    // fit() never writes these; a loaded one would turn transform()'s
+    // output into inf or NaN features.
+    if (!std::isfinite(p.means_[j]) || !std::isfinite(p.stds_[j]) ||
+        p.stds_[j] <= 0.0) {
+      throw ParseError("feature pipeline: row " + std::to_string(j) +
+                       " needs a finite mean and a finite std > 0");
+    }
   }
   p.fitted_ = true;
   return p;

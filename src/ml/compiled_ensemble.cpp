@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #if defined(__AVX512F__)
@@ -45,390 +47,261 @@ std::int32_t tree_depth(const std::vector<Node>& nodes) {
   return max_depth;
 }
 
+/// Leaf payload of a CART tree: appends the leaf's value vector to
+/// `values` and returns its offset (exact in a double far beyond any pool).
+auto cart_leaf_payload(std::vector<double>& values) {
+  return [&values](const TreeNode& leaf) {
+    const auto offset = static_cast<double>(values.size());
+    values.insert(values.end(), leaf.value.begin(), leaf.value.end());
+    return offset;
+  };
+}
+
+// Leaf marker cut of each word: no internal node's cut index reaches it
+// (a narrow feature has at most 255 cuts, so indices stop at 254; a wide
+// one at most 65535, indices stop at 65534), and no code exceeds it.
+constexpr std::uint64_t kLeafCut32 = 0xFFU;
+constexpr std::uint64_t kLeafCut64 = 0xFFFFU;
+
+/// One walk step: `w` is a packed node word, `qr` the row's bin codes.
+/// Decodes to `left_child + (code > cut)` — branch-free (flag
+/// materialized by setcc, no data-dependent jump); a leaf's all-ones cut
+/// makes the predicate false so the self-loop holds.
+template <typename Code>
+std::uint32_t qstep(std::uint32_t w, const Code* qr) noexcept {
+  const std::uint32_t code = qr[w & 0xFFU];
+  const std::uint32_t cut = (w >> 8) & 0xFFU;
+  return (w >> 16) + static_cast<std::uint32_t>(code > cut);
+}
+template <typename Code>
+std::uint32_t qstep(std::uint64_t w, const Code* qr) noexcept {
+  const std::uint32_t code = qr[w & 0xFFFFU];
+  const auto cut = static_cast<std::uint32_t>((w >> 16) & 0xFFFFU);
+  return static_cast<std::uint32_t>(w >> 32) +
+         static_cast<std::uint32_t>(code > cut);
+}
+
+/// Walks one tree (`qn` = its packed nodes) for a pre-binned row for
+/// exactly `steps` steps; returns the tree-local leaf index.
+template <typename Word, typename Code>
+std::uint32_t qwalk(const Word* qn, std::int32_t steps, const Code* qr) noexcept {
+  std::uint32_t local = 0;
+  for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
+  return local;
+}
+
 }  // namespace
 
-CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model,
-                                           CompileOptions options) {
+template <typename Node, typename LeafPayload>
+void CompiledEnsemble::build_pool(const std::vector<const std::vector<Node>*>& trees,
+                                  LeafPayload leaf_payload) {
+  // Per-feature sorted distinct cut tables from the fitted thresholds.
+  std::vector<std::vector<double>> cuts(n_features_);
+  std::size_t n_nodes = 0;
+  std::size_t widest_tree = 0;
+  for (const std::vector<Node>* tree : trees) {
+    n_nodes += tree->size();
+    widest_tree = std::max(widest_tree, tree->size());
+    for (const Node& node : *tree) {
+      if (!node.is_leaf()) {
+        cuts[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
+      }
+    }
+  }
+  MPHPC_EXPECTS(n_nodes <
+                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
+  std::size_t most_cuts = 0;
+  cut_begin_.assign(1, 0);
+  for (std::vector<double>& fc : cuts) {
+    std::sort(fc.begin(), fc.end());
+    fc.erase(std::unique(fc.begin(), fc.end()), fc.end());
+    most_cuts = std::max(most_cuts, fc.size());
+    cuts_.insert(cuts_.end(), fc.begin(), fc.end());
+    cut_begin_.push_back(static_cast<std::uint32_t>(cuts_.size()));
+  }
+  // A row code can be n_cuts itself, so a word needs n_cuts <= its leaf
+  // marker cut.
+  const bool narrow =
+      n_features_ <= 255 && most_cuts <= kLeafCut32 &&
+      widest_tree <= std::size_t{std::numeric_limits<std::uint16_t>::max()};
+  if (!narrow && (n_features_ > std::size_t{1} << 16 || most_cuts > kLeafCut64)) {
+    throw std::length_error(
+        "CompiledEnsemble: model exceeds the wide node word (" +
+        std::to_string(n_features_) + " features, up to " +
+        std::to_string(most_cuts) +
+        " distinct thresholds on one feature; limits 65536 and 65535)");
+  }
+  if (narrow) {
+    node32_.assign(n_nodes, 0);
+  } else {
+    node64_.assign(n_nodes, 0);
+  }
+  payload_.assign(n_nodes, 0.0);
+  roots_.reserve(trees.size());
+  depth_.reserve(trees.size());
+  // Renumber each tree in BFS order so an internal node's children land
+  // adjacent (left at child, right at child + 1: the walk step is then one
+  // add off a flag), and pack each node into a single word.
+  std::vector<std::uint32_t> order;  // order[new_local] = old_local
+  std::vector<std::uint32_t> child;  // per new_local
+  std::size_t begin = 0;
+  for (const std::vector<Node>* tree : trees) {
+    roots_.push_back(static_cast<std::int32_t>(begin));
+    depth_.push_back(tree_depth(*tree));
+    order.assign(1, 0);
+    child.clear();
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const Node& node = (*tree)[order[head]];
+      if (node.is_leaf()) {
+        child.push_back(static_cast<std::uint32_t>(head));  // self-loop
+        continue;
+      }
+      child.push_back(static_cast<std::uint32_t>(order.size()));
+      order.push_back(static_cast<std::uint32_t>(node.left));
+      order.push_back(static_cast<std::uint32_t>(node.right));
+      // Every node has at most one parent (a tree, not a DAG), so the BFS
+      // never outgrows the tree's slice of the pool.
+      MPHPC_ASSERT(order.size() <= tree->size());
+    }
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const Node& node = (*tree)[order[j]];
+      std::uint64_t feat = 0;
+      std::uint64_t cut = narrow ? kLeafCut32 : kLeafCut64;
+      if (node.is_leaf()) {
+        payload_[begin + j] = leaf_payload(node);
+      } else {
+        const auto f = static_cast<std::size_t>(node.feature);
+        const std::vector<double>& fc = cuts[f];
+        feat = f;
+        cut = static_cast<std::uint64_t>(
+            std::lower_bound(fc.begin(), fc.end(), node.threshold) - fc.begin());
+      }
+      if (narrow) {
+        node32_[begin + j] = static_cast<std::uint32_t>(
+            feat | (cut << 8) | (static_cast<std::uint64_t>(child[j]) << 16));
+      } else {
+        node64_[begin + j] =
+            feat | (cut << 16) | (static_cast<std::uint64_t>(child[j]) << 32);
+      }
+    }
+    begin += tree->size();
+  }
+}
+
+CompiledEnsemble CompiledEnsemble::compile(const GbtRegressor& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kGbt;
   ce.n_features_ = model.n_features();
   ce.n_outputs_ = model.n_outputs();
-
-  std::size_t total_nodes = 0;
-  std::size_t total_trees = 0;
-  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
-    total_trees += model.ensemble(k).size();
-    for (const GbtTree& tree : model.ensemble(k)) total_nodes += tree.nodes.size();
-  }
-  MPHPC_EXPECTS(total_nodes <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  ce.feature_.reserve(total_nodes);
-  ce.threshold_.reserve(total_nodes);
-  ce.left_.reserve(total_nodes);
-  ce.right_.reserve(total_nodes);
-  ce.roots_.reserve(total_trees);
-  ce.depth_.reserve(total_trees);
-
+  std::vector<const std::vector<GbtNode>*> trees;
   ce.output_begin_ = {0};
   for (std::size_t k = 0; k < model.n_outputs(); ++k) {
     ce.base_.push_back(model.base_score(k));
-    for (const GbtTree& tree : model.ensemble(k)) {
-      const auto origin = static_cast<std::int32_t>(ce.feature_.size());
-      ce.roots_.push_back(origin);
-      ce.depth_.push_back(tree_depth(tree.nodes));
-      std::int32_t local = 0;
-      for (const GbtNode& node : tree.nodes) {
-        if (node.is_leaf()) {
-          // Self-loop leaf: extra walk steps are no-ops; the scalar leaf
-          // weight rides in the threshold slot.
-          ce.feature_.push_back(0);
-          ce.threshold_.push_back(node.weight);
-          ce.left_.push_back(origin + local);
-          ce.right_.push_back(origin + local);
-        } else {
-          ce.feature_.push_back(node.feature);
-          ce.threshold_.push_back(node.threshold);
-          ce.left_.push_back(origin + node.left);
-          ce.right_.push_back(origin + node.right);
-        }
-        ++local;
-      }
-    }
-    ce.output_begin_.push_back(static_cast<std::int32_t>(ce.roots_.size()));
+    for (const GbtTree& tree : model.ensemble(k)) trees.push_back(&tree.nodes);
+    ce.output_begin_.push_back(static_cast<std::int32_t>(trees.size()));
   }
-  if (options.quantize) ce.build_quantized_pool();
+  ce.build_pool(trees, [](const GbtNode& leaf) { return leaf.weight; });
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-namespace {
-
-/// Appends one CART tree's nodes to the SoA pool, inlining leaf value
-/// vectors into `values`; shared by the forest and single-tree compilers.
-void append_cart_tree(const DecisionTree& tree, std::vector<std::int32_t>& feature,
-                      std::vector<double>& threshold, std::vector<std::int32_t>& left,
-                      std::vector<std::int32_t>& right, std::vector<std::int32_t>& roots,
-                      std::vector<std::int32_t>& depth, std::vector<double>& values) {
-  const auto origin = static_cast<std::int32_t>(feature.size());
-  roots.push_back(origin);
-  depth.push_back(tree_depth(tree.nodes()));
-  std::int32_t local = 0;
-  for (const TreeNode& node : tree.nodes()) {
-    if (node.is_leaf()) {
-      // Self-loop leaf; the threshold slot holds the offset of the leaf's
-      // value vector in `values` (exact in a double far beyond any pool).
-      feature.push_back(0);
-      threshold.push_back(static_cast<double>(values.size()));
-      left.push_back(origin + local);
-      right.push_back(origin + local);
-      values.insert(values.end(), node.value.begin(), node.value.end());
-    } else {
-      feature.push_back(node.feature);
-      threshold.push_back(node.threshold);
-      left.push_back(origin + node.left);
-      right.push_back(origin + node.right);
-    }
-    ++local;
-  }
-}
-
-}  // namespace
-
-CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model,
-                                           CompileOptions options) {
+CompiledEnsemble CompiledEnsemble::compile(const RandomForest& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kForestMean;
   ce.n_outputs_ = tree_output_width(model.trees().front());
   ce.value_width_ = ce.n_outputs_;
   ce.n_trees_ = static_cast<double>(model.trees().size());
-
-  std::size_t total_nodes = 0;
-  for (const DecisionTree& tree : model.trees()) {
-    MPHPC_EXPECTS(tree.fitted());
-    total_nodes += tree.nodes().size();
-  }
-  MPHPC_EXPECTS(total_nodes <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  ce.feature_.reserve(total_nodes);
-  ce.threshold_.reserve(total_nodes);
-  ce.left_.reserve(total_nodes);
-  ce.right_.reserve(total_nodes);
-  ce.roots_.reserve(model.trees().size());
-  ce.depth_.reserve(model.trees().size());
-
-  for (const DecisionTree& tree : model.trees()) {
-    append_cart_tree(tree, ce.feature_, ce.threshold_, ce.left_, ce.right_,
-                     ce.roots_, ce.depth_, ce.values_);
-  }
   // Every fitted tree saw the same X, so any tree's feature count works.
   ce.n_features_ = model.trees().front().n_features();
-  if (options.quantize) ce.build_quantized_pool();
+  std::vector<const std::vector<TreeNode>*> trees;
+  for (const DecisionTree& tree : model.trees()) {
+    MPHPC_EXPECTS(tree.fitted());
+    trees.push_back(&tree.nodes());
+  }
+  ce.build_pool(trees, cart_leaf_payload(ce.values_));
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-CompiledEnsemble CompiledEnsemble::compile(const DecisionTree& model,
-                                           CompileOptions options) {
+CompiledEnsemble CompiledEnsemble::compile(const DecisionTree& model) {
   MPHPC_EXPECTS(model.fitted());
   CompiledEnsemble ce;
   ce.kind_ = Kind::kSingleTree;
   ce.n_outputs_ = tree_output_width(model);
   ce.value_width_ = ce.n_outputs_;
   ce.n_features_ = model.n_features();
-  MPHPC_EXPECTS(model.nodes().size() <
-                static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
-  append_cart_tree(model, ce.feature_, ce.threshold_, ce.left_, ce.right_,
-                   ce.roots_, ce.depth_, ce.values_);
-  if (options.quantize) ce.build_quantized_pool();
+  ce.build_pool(std::vector<const std::vector<TreeNode>*>{&model.nodes()},
+                cart_leaf_payload(ce.values_));
   MPHPC_ENSURES(ce.compiled());
   return ce;
 }
 
-void CompiledEnsemble::build_quantized_pool() {
-  // Works uniformly over every model kind from the exact pool alone:
-  // internal nodes are the ones that do not self-loop (leaves have
-  // left_[i] == i), and their threshold_ slot holds a real split value.
-  quantized_ = false;
-  quantize_note_.clear();
-  if (n_features_ > std::numeric_limits<std::uint16_t>::max()) {
-    quantize_note_ = "feature count exceeds uint16";
-    return;
-  }
-  // Per-feature sorted distinct cut tables from the fitted thresholds.
-  std::vector<std::vector<double>> cuts(n_features_);
-  for (std::size_t i = 0; i < feature_.size(); ++i) {
-    if (left_[i] == static_cast<std::int32_t>(i)) continue;  // leaf
-    cuts[static_cast<std::size_t>(feature_[i])].push_back(threshold_[i]);
-  }
-  cut_begin_.assign(1, 0);
-  cuts_.clear();
-  for (std::vector<double>& fc : cuts) {
-    std::sort(fc.begin(), fc.end());
-    fc.erase(std::unique(fc.begin(), fc.end()), fc.end());
-    // A node's cut index must fit uint8 and a row code #{cuts < v} can be
-    // n_cuts itself, so both need n_cuts <= 255.
-    if (fc.size() > 255) {
-      quantize_note_ = "a feature has more than 255 distinct thresholds";
-      cuts_.clear();
-      cut_begin_.clear();
-      return;
+// The chop is branchless (the advance is a masked add, not a
+// data-dependent jump): std::lower_bound mispredicts ~50% per probe on
+// real feature values, which costs as much as the tree walks it feeds.
+// Its predicate is `!(v <= cut)`, not `cut < v`: the two agree on every
+// ordered value, and the negated form sends NaN past every cut (code
+// n_cuts, so right at every node) as the reference `v <= threshold` does.
+template <typename Code>
+void CompiledEnsemble::bin_row(const double* xr, Code* codes) const noexcept {
+  for (std::size_t f = 0; f < n_features_; ++f) {
+    const double* start = cuts_.data() + cut_begin_[f];
+    const double* base = start;
+    const double v = xr[f];
+    std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base += half & (0 - static_cast<std::size_t>(!(v <= base[half - 1])));
+      n -= half;
     }
-    cuts_.insert(cuts_.end(), fc.begin(), fc.end());
-    cut_begin_.push_back(static_cast<std::uint32_t>(cuts_.size()));
-  }
-  // Re-encode the pool tree by tree: renumber nodes in BFS order so an
-  // internal node's children land adjacent (left at child_base, right at
-  // child_base + 1 — the walk step is then one add off a flag), and pack
-  // each node into a single word: 32 bits when the feature index fits
-  // uint8 (the pool then runs ~5x smaller than the exact one and a whole
-  // ensemble's walk state is L1-resident), 64 bits otherwise. Leaves get
-  // cut = 255, an index no internal node can carry (cut indices stop at
-  // 254 because a feature has at most 255 cuts), so `code > 255` is
-  // always false and the leaf self-loops through its own child_base.
-  const bool narrow = n_features_ <= 255;
-  if (narrow) {
-    q_node32_.resize(feature_.size());
-  } else {
-    q_node64_.resize(feature_.size());
-  }
-  q_payload_.resize(feature_.size());
-  std::vector<std::uint32_t> order;       // order[new_local] = old_local
-  std::vector<std::uint32_t> child_base;  // per new_local
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const auto begin = static_cast<std::size_t>(roots_[t]);
-    const std::size_t end = t + 1 < roots_.size()
-                                ? static_cast<std::size_t>(roots_[t + 1])
-                                : feature_.size();
-    if (end - begin > std::size_t{std::numeric_limits<std::uint16_t>::max()}) {
-      quantize_note_ = "a tree has more than 65535 nodes";
-      q_node32_.clear();
-      q_node64_.clear();
-      q_payload_.clear();
-      cuts_.clear();
-      cut_begin_.clear();
-      return;
-    }
-    order.assign(1, 0);
-    child_base.clear();
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      const std::size_t old_global = begin + order[head];
-      if (left_[old_global] == static_cast<std::int32_t>(old_global)) {
-        child_base.push_back(static_cast<std::uint32_t>(head));  // self-loop
-        continue;
-      }
-      child_base.push_back(static_cast<std::uint32_t>(order.size()));
-      order.push_back(static_cast<std::uint32_t>(left_[old_global]) -
-                      static_cast<std::uint32_t>(begin));
-      order.push_back(static_cast<std::uint32_t>(right_[old_global]) -
-                      static_cast<std::uint32_t>(begin));
-    }
-    for (std::size_t j = 0; j < order.size(); ++j) {
-      const std::size_t i = begin + order[j];
-      const bool leaf = left_[i] == static_cast<std::int32_t>(i);
-      std::uint64_t feat = 0;
-      std::uint64_t cut = 255;
-      if (!leaf) {
-        const auto f = static_cast<std::size_t>(feature_[i]);
-        const std::vector<double>& fc = cuts[f];
-        feat = static_cast<std::uint64_t>(f);
-        cut = static_cast<std::uint64_t>(
-            std::lower_bound(fc.begin(), fc.end(), threshold_[i]) - fc.begin());
-      }
-      if (narrow) {
-        q_node32_[begin + j] = static_cast<std::uint32_t>(
-            feat | (cut << 8) |
-            (static_cast<std::uint64_t>(child_base[j]) << 16));
-      } else {
-        q_node64_[begin + j] = feat | (cut << 16) |
-                               (static_cast<std::uint64_t>(child_base[j]) << 32);
-      }
-      q_payload_[begin + j] = leaf ? threshold_[i] : 0.0;
-    }
-  }
-  quantized_ = true;
-}
-
-void CompiledEnsemble::predict_tile(const Matrix& x, std::size_t lo,
-                                    std::size_t hi, Matrix& out) const {
-  // Mask-and-blend select: a ternary here is if-converted to cmov in some
-  // inlining contexts but lowered to a data-dependent branch in others,
-  // and balanced splits mispredict ~50% of the time. The arithmetic form
-  // cannot be turned back into a jump.
-  const auto step = [this](std::int32_t node, const double* xr) noexcept {
-    const auto i = static_cast<std::size_t>(node);
-    const std::int32_t go_left = left_[i];
-    const std::int32_t go_right = right_[i];
-    const std::int32_t take_left = -static_cast<std::int32_t>(
-        xr[static_cast<std::size_t>(feature_[i])] <= threshold_[i]);
-    return (go_left & take_left) | (go_right & ~take_left);
-  };
-  // Lanes per lock-step walk: enough independent cmov chains to saturate
-  // the load ports, few enough that lane state stays in registers.
-  constexpr std::size_t kLanes = 8;
-  const auto walk_lanes = [&](std::int32_t root, std::int32_t steps,
-                              const std::array<const double*, kLanes>& xr,
-                              std::array<std::int32_t, kLanes>& n) {
-    n.fill(root);
-    for (std::int32_t s = 0; s < steps; ++s) {
-      for (std::size_t l = 0; l < kLanes; ++l) n[l] = step(n[l], xr[l]);
-    }
-  };
-  if (kind_ == Kind::kGbt) {
-    // Lane group outer, trees inner: the group's row pointers and running
-    // sums live in registers across the whole ensemble, so per-tree cost
-    // is the walk plus one add — not a round trip through `out`. One
-    // output's trees (~tens of KB of nodes) stay L1/L2-resident per sweep.
-    // Accumulation order per (row, output) is base + trees in boosting
-    // order, exactly the reference order.
-    for (std::size_t k = 0; k < n_outputs_; ++k) {
-      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      std::size_t r = lo;
-      std::array<const double*, kLanes> xr;
-      std::array<std::int32_t, kLanes> n;
-      std::array<double, kLanes> acc;
-      for (; r + kLanes <= hi; r += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-        acc.fill(base_[k]);
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          walk_lanes(roots_[t], depth_[t], xr, n);
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc[l] += threshold_[static_cast<std::size_t>(n[l])];
-          }
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) out(r + l, k) = acc[l];
-      }
-      for (; r < hi; ++r) {
-        double sum = base_[k];
-        const double* xr1 = x.row(r).data();
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = walk(roots_[t], depth_[t], xr1);
-          sum += threshold_[static_cast<std::size_t>(leaf)];
-        }
-        out(r, k) = sum;
-      }
-    }
-    return;
-  }
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t root = roots_[t];
-    const std::int32_t steps = depth_[t];
-    const auto add_leaf = [&](std::size_t r, std::int32_t leaf) {
-      const double* v =
-          values_.data() +
-          static_cast<std::size_t>(threshold_[static_cast<std::size_t>(leaf)]);
-      double* dst = out.row(r).data();
-      for (std::size_t k = 0; k < value_width_; ++k) dst[k] += v[k];
-    };
-    std::size_t r = lo;
-    std::array<const double*, kLanes> xr;
-    std::array<std::int32_t, kLanes> n;
-    for (; r + kLanes <= hi; r += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-      walk_lanes(root, steps, xr, n);
-      for (std::size_t l = 0; l < kLanes; ++l) add_leaf(r + l, n[l]);
-    }
-    for (; r < hi; ++r) add_leaf(r, walk(root, steps, x.row(r).data()));
-  }
-  if (kind_ == Kind::kForestMean) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      for (double& v : out.row(r)) v /= n_trees_;
-    }
+    const std::size_t above = n == 1 && !(v <= base[0]) ? 1 : 0;
+    codes[f] = static_cast<Code>(static_cast<std::size_t>(base - start) + above);
   }
 }
 
-void CompiledEnsemble::predict_tile_quantized(const Matrix& x, std::size_t lo,
-                                              std::size_t hi, Matrix& out,
-                                              std::uint8_t* codes) const {
-  // Bin the tile once: every later tree walk reads uint8 codes, so the
-  // per-row hot state is n_features_ bytes (a 512-row tile of 21 features
-  // is ~10 KB — the whole tile stays L1-resident across the ensemble).
-  // Eight rows chop in lock-step per feature: they share one cut table
-  // and one range width, so every probe is eight independent masked adds
-  // off a hot table — no mispredicted compares (bin_row's scalar chop,
-  // serial per feature, would cost as much as the tree walks it feeds).
+// Bins the tile once: every later tree walk reads codes, so the per-row
+// hot state is n_features_ codes (a 512-row tile of 21 features is ~10 KB
+// of uint8 codes — the whole tile stays L1-resident across the ensemble).
+// Eight rows chop in lock-step per feature: they share one cut table and
+// one range width, so every probe is eight independent masked adds off a
+// hot table (bin_row's scalar chop, serial per feature, would cost as
+// much as the tree walks it feeds). Same predicate as bin_row.
+template <typename Code>
+void CompiledEnsemble::bin_tile(const Matrix& x, std::size_t lo, std::size_t hi,
+                                Code* codes) const noexcept {
   constexpr std::size_t kLanes = 8;
-  {
-    std::size_t r = lo;
-    std::array<const double*, kLanes> xr;
-    std::array<const double*, kLanes> base;
-    std::array<double, kLanes> v;
-    for (; r + kLanes <= hi; r += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
-      std::uint8_t* crow = codes + (r - lo) * n_features_;
-      for (std::size_t f = 0; f < n_features_; ++f) {
-        const double* start = cuts_.data() + cut_begin_[f];
-        std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+  std::size_t r = lo;
+  std::array<const double*, kLanes> xr;
+  std::array<const double*, kLanes> base;
+  std::array<double, kLanes> v;
+  for (; r + kLanes <= hi; r += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) xr[l] = x.row(r + l).data();
+    Code* crow = codes + (r - lo) * n_features_;
+    for (std::size_t f = 0; f < n_features_; ++f) {
+      const double* start = cuts_.data() + cut_begin_[f];
+      std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        base[l] = start;
+        v[l] = xr[l][f];
+      }
+      while (n > 1) {
+        const std::size_t half = n / 2;
         for (std::size_t l = 0; l < kLanes; ++l) {
-          base[l] = start;
-          v[l] = xr[l][f];
+          base[l] +=
+              half & (0 - static_cast<std::size_t>(!(v[l] <= base[l][half - 1])));
         }
-        while (n > 1) {
-          const std::size_t half = n / 2;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            base[l] += half & (0 - static_cast<std::size_t>(base[l][half - 1] <
-                                                            v[l]));
-          }
-          n -= half;
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const std::size_t below = n == 1 && base[l][0] < v[l] ? 1 : 0;
-          crow[l * n_features_ + f] = static_cast<std::uint8_t>(
-              static_cast<std::size_t>(base[l] - start) + below);
-        }
+        n -= half;
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::size_t above = n == 1 && !(v[l] <= base[l][0]) ? 1 : 0;
+        crow[l * n_features_ + f] =
+            static_cast<Code>(static_cast<std::size_t>(base[l] - start) + above);
       }
     }
-    for (; r < hi; ++r) {
-      bin_row(x.row(r).data(), codes + (r - lo) * n_features_);
-    }
   }
-  if (!q_node32_.empty()) {
-    walk_tile_quantized(q_node32_.data(), lo, hi, out, codes);
-  } else {
-    walk_tile_quantized(q_node64_.data(), lo, hi, out, codes);
-  }
+  for (; r < hi; ++r) bin_row(x.row(r).data(), codes + (r - lo) * n_features_);
 }
 
 #if defined(__AVX512F__)
@@ -492,18 +365,16 @@ inline void quad_row_offsets(std::size_t first_row, std::size_t n_features,
 }  // namespace
 #endif  // __AVX512F__
 
-// Same lane-group shape as the exact kernel, but a walk step is two
-// loads (the packed node word + the row's code byte) and a handful of
-// integer ops per lane instead of five scattered loads — the eight
-// lock-step lanes keep both load ports busy on a far smaller pool.
-// When the build targets AVX-512 and the pool is 32-bit, full 64-row
-// quads take the gather-based vector walk instead (identical integer
-// arithmetic and FP accumulation order, so results stay bit-identical);
-// the scalar lanes then only mop up the tile remainder.
-template <typename Word>
-void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
-                                           std::size_t hi, Matrix& out,
-                                           const std::uint8_t* codes) const {
+// Lanes per lock-step walk: enough independent chains to saturate the
+// load ports, few enough that lane state stays in registers. A step is
+// two loads (the packed node word + the row's code) and a handful of
+// integer ops per lane. When the build targets AVX-512 and the pool is
+// narrow, full 64-row quads take the gather-based vector walk instead
+// (identical integer arithmetic and FP accumulation order, so results
+// stay bit-identical); the scalar lanes then only mop up the remainder.
+template <typename Word, typename Code>
+void CompiledEnsemble::walk_tile(const Word* pool, std::size_t lo, std::size_t hi,
+                                 Matrix& out, const Code* codes) const {
   constexpr std::size_t kLanes = 8;
   std::size_t scalar_lo = lo;  // rows below it were served by the vector path
 #if defined(__AVX512F__)
@@ -525,7 +396,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
               const auto origin = static_cast<std::size_t>(roots_[t]);
               __m512i leaf[4];
               qwalk_quad(pool + origin, depth_[t], codes, rowoff, leaf);
-              const double* qp = q_payload_.data() + origin;
+              const double* qp = payload_.data() + origin;
               for (int g = 0; g < 4; ++g) {
                 acc[2 * g] = _mm512_add_pd(
                     acc[2 * g],
@@ -557,7 +428,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
             for (int g = 0; g < 4; ++g) {
               _mm512_storeu_si512(leafbuf.data() + 16 * g, leaf[g]);
             }
-            const double* qp = q_payload_.data() + origin;
+            const double* qp = payload_.data() + origin;
             for (std::size_t l = 0; l < kQuadRows; ++l) {
               const double* v =
                   values_.data() + static_cast<std::size_t>(qp[leafbuf[l]]);
@@ -571,11 +442,15 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
   }
 #endif  // __AVX512F__
   if (kind_ == Kind::kGbt) {
+    // Lane group outer, trees inner: the group's code pointers and running
+    // sums live in registers across the whole ensemble, so per-tree cost
+    // is the walk plus one add. Accumulation order per (row, output) is
+    // base + trees in boosting order, exactly the reference order.
     for (std::size_t k = 0; k < n_outputs_; ++k) {
       const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
       const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
       std::size_t r = scalar_lo;
-      std::array<const std::uint8_t*, kLanes> qr;
+      std::array<const Code*, kLanes> qr;
       std::array<std::uint32_t, kLanes> local;
       std::array<double, kLanes> acc;
       for (; r + kLanes <= hi; r += kLanes) {
@@ -585,8 +460,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
         acc.fill(base_[k]);
         for (std::size_t t = t_begin; t < t_end; ++t) {
           const Word* qn = pool + static_cast<std::size_t>(roots_[t]);
-          const double* qp =
-              q_payload_.data() + static_cast<std::size_t>(roots_[t]);
+          const double* qp = payload_.data() + static_cast<std::size_t>(roots_[t]);
           const std::int32_t steps = depth_[t];
           local.fill(0);
           for (std::int32_t s = 0; s < steps; ++s) {
@@ -600,10 +474,10 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
       }
       for (; r < hi; ++r) {
         double sum = base_[k];
-        const std::uint8_t* qr1 = codes + (r - lo) * n_features_;
+        const Code* qr1 = codes + (r - lo) * n_features_;
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = qwalk(roots_[t], depth_[t], qr1);
-          sum += q_payload_[static_cast<std::size_t>(leaf)];
+          const auto origin = static_cast<std::size_t>(roots_[t]);
+          sum += payload_[origin + qwalk(pool + origin, depth_[t], qr1)];
         }
         out(r, k) = sum;
       }
@@ -612,7 +486,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
   }
   for (std::size_t t = 0; t < roots_.size(); ++t) {
     const Word* qn = pool + static_cast<std::size_t>(roots_[t]);
-    const double* qp = q_payload_.data() + static_cast<std::size_t>(roots_[t]);
+    const double* qp = payload_.data() + static_cast<std::size_t>(roots_[t]);
     const std::int32_t steps = depth_[t];
     const auto add_leaf = [&](std::size_t r, std::uint32_t leaf) {
       const double* v = values_.data() + static_cast<std::size_t>(qp[leaf]);
@@ -620,7 +494,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
       for (std::size_t k = 0; k < value_width_; ++k) dst[k] += v[k];
     };
     std::size_t r = scalar_lo;
-    std::array<const std::uint8_t*, kLanes> qr;
+    std::array<const Code*, kLanes> qr;
     std::array<std::uint32_t, kLanes> local;
     for (; r + kLanes <= hi; r += kLanes) {
       for (std::size_t l = 0; l < kLanes; ++l) {
@@ -634,12 +508,7 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
       }
       for (std::size_t l = 0; l < kLanes; ++l) add_leaf(r + l, local[l]);
     }
-    for (; r < hi; ++r) {
-      std::uint32_t local1 = 0;
-      const std::uint8_t* qr1 = codes + (r - lo) * n_features_;
-      for (std::int32_t s = 0; s < steps; ++s) local1 = qstep(qn[local1], qr1);
-      add_leaf(r, local1);
-    }
+    for (; r < hi; ++r) add_leaf(r, qwalk(qn, steps, codes + (r - lo) * n_features_));
   }
   if (kind_ == Kind::kForestMean) {
     for (std::size_t r = lo; r < hi; ++r) {
@@ -652,25 +521,33 @@ void CompiledEnsemble::walk_tile_quantized(const Word* pool, std::size_t lo,
 #pragma GCC diagnostic pop
 #endif
 
+template <typename Word, typename Code>
+void CompiledEnsemble::predict_rows(const Word* pool, const Matrix& x,
+                                    std::size_t row_begin, std::size_t row_end,
+                                    Matrix& out) const {
+  // One code buffer per chunk, reused across its tiles: the only
+  // allocation the batch path makes. The +4 pad keeps the vector walk's
+  // dword gather of the last code byte inside the buffer (it masks the
+  // extra bytes off; they are never used).
+  std::vector<Code> codes(kTile * n_features_ + 4);
+  for (std::size_t lo = row_begin; lo < row_end; lo += kTile) {
+    const std::size_t hi = std::min(row_end, lo + kTile);
+    bin_tile(x, lo, hi, codes.data());
+    walk_tile(pool, lo, hi, out, codes.data());
+  }
+}
+
 Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
   MPHPC_EXPECTS(compiled());
   MPHPC_EXPECTS(x.cols() == n_features_);
   Matrix out(x.rows(), n_outputs_);
   const auto run_rows = [&](std::size_t row_begin, std::size_t row_end) {
-    if (quantized_) {
-      // One code buffer per chunk, reused across its tiles: the only
-      // allocation the quantized batch path makes. The +4 pad keeps the
-      // vector walk's dword gather of the last code byte inside the
-      // buffer (it masks the extra bytes off; they are never used).
-      std::vector<std::uint8_t> codes(kTile * n_features_ + 4);
-      for (std::size_t lo = row_begin; lo < row_end; lo += kTile) {
-        predict_tile_quantized(x, lo, std::min(row_end, lo + kTile), out,
-                               codes.data());
-      }
-      return;
-    }
-    for (std::size_t lo = row_begin; lo < row_end; lo += kTile) {
-      predict_tile(x, lo, std::min(row_end, lo + kTile), out);
+    if (!node32_.empty()) {
+      predict_rows<std::uint32_t, std::uint8_t>(node32_.data(), x, row_begin,
+                                                row_end, out);
+    } else {
+      predict_rows<std::uint64_t, std::uint16_t>(node64_.data(), x, row_begin,
+                                                 row_end, out);
     }
   };
   if (pool != nullptr && x.rows() > 1) {
@@ -684,6 +561,35 @@ Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
     run_rows(0, x.rows());
   }
   return out;
+}
+
+template <typename Word>
+void CompiledEnsemble::walk_row(const Word* pool, const std::uint16_t* codes,
+                                std::span<double> out) const noexcept {
+  if (kind_ == Kind::kGbt) {
+    for (std::size_t k = 0; k < n_outputs_; ++k) {
+      double acc = base_[k];
+      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
+      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
+      for (std::size_t t = t_begin; t < t_end; ++t) {
+        const auto origin = static_cast<std::size_t>(roots_[t]);
+        acc += payload_[origin + qwalk(pool + origin, depth_[t], codes)];
+      }
+      out[k] = acc;
+    }
+    return;
+  }
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    const auto origin = static_cast<std::size_t>(roots_[t]);
+    const std::uint32_t leaf = qwalk(pool + origin, depth_[t], codes);
+    const double* v =
+        values_.data() + static_cast<std::size_t>(payload_[origin + leaf]);
+    for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
+  }
+  if (kind_ == Kind::kForestMean) {
+    for (double& v : out) v /= n_trees_;
+  }
 }
 
 // lint:allow-next-line contract-coverage -- delegate; the scratch overload owns the contracts
@@ -701,59 +607,13 @@ void CompiledEnsemble::predict_row(std::span<const double> x,
   MPHPC_EXPECTS(compiled());
   MPHPC_EXPECTS(out.size() == n_outputs_);
   MPHPC_EXPECTS(x.size() == n_features_);
-  if (quantized_) {
-    if (scratch.codes.size() < n_features_) scratch.codes.resize(n_features_);
-    std::uint8_t* codes = scratch.codes.data();
-    bin_row(x.data(), codes);
-    if (kind_ == Kind::kGbt) {
-      for (std::size_t k = 0; k < n_outputs_; ++k) {
-        double acc = base_[k];
-        const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-        const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::int32_t leaf = qwalk(roots_[t], depth_[t], codes);
-          acc += q_payload_[static_cast<std::size_t>(leaf)];
-        }
-        out[k] = acc;
-      }
-      return;
-    }
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      const std::int32_t leaf = qwalk(roots_[t], depth_[t], codes);
-      const double* v =
-          values_.data() +
-          static_cast<std::size_t>(q_payload_[static_cast<std::size_t>(leaf)]);
-      for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
-    }
-    if (kind_ == Kind::kForestMean) {
-      for (double& v : out) v /= n_trees_;
-    }
-    return;
-  }
-  if (kind_ == Kind::kGbt) {
-    for (std::size_t k = 0; k < n_outputs_; ++k) {
-      double acc = base_[k];
-      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
-      const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      for (std::size_t t = t_begin; t < t_end; ++t) {
-        const std::int32_t leaf = walk(roots_[t], depth_[t], x.data());
-        acc += threshold_[static_cast<std::size_t>(leaf)];
-      }
-      out[k] = acc;
-    }
-    return;
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t leaf = walk(roots_[t], depth_[t], x.data());
-    const double* v =
-        values_.data() +
-        static_cast<std::size_t>(threshold_[static_cast<std::size_t>(leaf)]);
-    for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
-  }
-  if (kind_ == Kind::kForestMean) {
-    for (double& v : out) v /= n_trees_;
+  if (scratch.codes.size() < n_features_) scratch.codes.resize(n_features_);
+  // uint16 codes serve both words: a narrow pool's codes never pass 255.
+  bin_row(x.data(), scratch.codes.data());
+  if (!node32_.empty()) {
+    walk_row(node32_.data(), scratch.codes.data(), out);
+  } else {
+    walk_row(node64_.data(), scratch.codes.data(), out);
   }
 }
 

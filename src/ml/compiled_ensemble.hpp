@@ -3,21 +3,45 @@
 // The reference predictors (GbtTree::predict, DecisionTree::predict_one)
 // walk per-tree node vectors one row at a time — pointer chasing through
 // scattered allocations, re-touching every tree's nodes for every row.
-// CompiledEnsemble flattens a fitted GbtRegressor, RandomForest, or
-// DecisionTree into one contiguous structure-of-arrays node pool
-// (feature / threshold / child-index arrays; leaf payloads inlined) and
-// predicts blockwise: rows are processed in small tiles with the tree loop
-// outside the row loop, so one tree's nodes stay cache-resident while a
-// whole tile streams through them, and row tiles fan out across a
-// ThreadPool.
+// CompiledEnsemble re-encodes a fitted GbtRegressor, RandomForest, or
+// DecisionTree into one contiguous bin-code node pool and predicts
+// blockwise: rows are processed in small tiles with the tree loop outside
+// the row loop, so one tree's nodes stay cache-resident while a whole
+// tile streams through them, and row tiles fan out across a ThreadPool.
 //
-// Traversals are branch-free and fixed-length: leaves are compiled as
-// self-loops (left == right == self), so walking any row for exactly
-// depth(tree) steps lands on its leaf with no per-step leaf test — every
-// step is one conditional-move, and a lane group of rows walks in
-// lock-step to hide the node-fetch latency behind independent loads. For
-// GBT the lane group's running sums stay in registers across the whole
-// ensemble, so each tree costs a walk plus one add.
+// Bin codes. Every distinct split threshold of each feature becomes an
+// entry in a sorted per-feature cut table, a node keeps only the index of
+// its cut, and each input row is binned ONCE per tile (or per predict_row
+// call) to one code per feature: code(v) = #{cuts c : !(v <= c)}. For an
+// ordinary value that is #{cuts < v}, so the walk comparison
+// `code(v) <= cut_index` decides identically to the reference
+// `v <= threshold` — a lossless re-encoding, not an approximation. The
+// negated form also settles the values the comparison is fragile on: NaN
+// compares false against every cut, so it codes to n_cuts and goes right
+// at every node, exactly as the reference walkers route it (`NaN <= t` is
+// false); +inf codes to n_cuts (right), -inf to 0 (left), and a value
+// exactly on a cut codes to that cut's index (left).
+//
+// The pool. Each tree's nodes are renumbered in BFS order so an internal
+// node's two children sit adjacent, and a node packs into ONE word:
+//   - narrow, 32 bits: uint8 feature | uint8 cut index | uint16
+//     tree-local index of the left child (right = left + 1), with uint8
+//     row codes. Used when the model has at most 255 features, at most
+//     255 distinct cuts on every feature and at most 65535 nodes per tree
+//     — every hist-trained model (max_bins <= 255 edges per feature).
+//   - wide, 64 bits: uint16 feature | uint16 cut index | 32-bit tree-local
+//     left child, with uint16 row codes. Everything else, e.g. exact-greedy
+//     models, which mint fresh midpoint thresholds every round.
+// A model beyond the wide word (more than 65536 features, or more than
+// 65535 distinct cuts on one feature) makes compile() throw
+// std::length_error. A walk step is two loads — the node word and the
+// row's code — plus `next = child + (code > cut)`; at 4 bytes per hot
+// node a whole boosted ensemble's walk pool sits L1-resident. Leaves store
+// the all-ones cut (255 or 65535, an index no internal node reaches) with
+// the child pointing at themselves, so `code > cut` is always false there
+// and walking any row for exactly depth(tree) steps lands on its leaf
+// with no per-step leaf test. Leaf payloads live in a parallel payload_
+// array in the same BFS order.
 //
 // Determinism contract: predictions are bit-identical to the reference
 // walking path at any thread count. Every (row, output) accumulator sums
@@ -26,40 +50,14 @@
 // cross-row arithmetic exists — so chunking and tiling cannot change a
 // single result bit.
 //
-// Quantized mode (CompileOptions{.quantize = true}) additionally builds a
-// bin-code pool: every distinct split threshold of each feature becomes an
-// entry in a sorted per-feature cut table, node thresholds shrink to the
-// uint8 index of their cut, and each input row is binned ONCE per tile
-// (uint8 code per feature via lower_bound on the cut table). Because the
-// code of a value v is exactly #{cuts < v}, the walk comparison
-// `code(v) <= cut_index` decides identically to `v <= threshold` — the
-// quantized pool is a lossless re-encoding, not an approximation. The pool
-// itself is relaid out for the walk: each tree's nodes are renumbered in
-// BFS order so an internal node's two children always sit adjacent, and a
-// node packs into ONE word — 32 bits (uint8 feature | uint8 cut index |
-// uint16 tree-local index of the left child; right = left + 1) when the
-// model has at most 255 features, 64 bits with a uint16 feature field
-// otherwise. A walk step is then two loads — the node word and the row's
-// code byte — plus `next = child_base + (code > cut)`, versus five loads
-// (feature, threshold, left, right, row value) in the exact kernel; at 4
-// bytes per hot node instead of 20 a whole boosted ensemble's walk pool
-// sits L1-resident where the exact pool thrashes L2. Leaves
-// store cut = 255 (an impossible internal cut index, since codes reach at
-// most 255 and real cut indices at most 254) with the child base pointing
-// at themselves, so overshooting the walk self-loops exactly like the
-// exact pool. Leaf payloads live in a parallel q_payload_ array in the
-// same BFS order. Models that exceed the code ranges (> 255 distinct cuts
-// on one feature, > 65535 nodes in one tree, > 65535 features) silently
-// keep only the exact pool; quantized() reports availability and
-// quantize_note() the reason.
-//
 // Compile once at train/load time (CrossArchPredictor does); compilation
-// is cheap (one pass over the nodes) and the compiled form is immutable.
+// is one pass over the nodes plus a sort of each feature's cuts, and the
+// compiled form is immutable.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <span>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "ml/matrix.hpp"
@@ -70,13 +68,6 @@ class DecisionTree;
 class GbtRegressor;
 class RandomForest;
 
-/// Compile-time knobs for CompiledEnsemble. `quantize` asks for the uint8
-/// bin-code pool on top of the exact pool; when the model fits the code
-/// ranges the quantized pool serves every predict call (losslessly).
-struct CompileOptions {
-  bool quantize = false;
-};
-
 class CompiledEnsemble {
  public:
   /// Reusable per-caller state for single-row prediction: holds the row's
@@ -84,34 +75,24 @@ class CompiledEnsemble {
   /// default-constructed scratch is valid for any engine; it grows to the
   /// engine's feature count on first use and is then allocation-free.
   struct RowScratch {
-    std::vector<std::uint8_t> codes;
+    std::vector<std::uint16_t> codes;
   };
 
   /// Default-constructed engines are empty (compiled() == false).
   CompiledEnsemble() = default;
 
-  /// Flattens a fitted model. The model can be dropped afterwards for
+  /// Re-encodes a fitted model. The model can be dropped afterwards for
   /// inference-only serving; keep it for serialization or importances.
-  [[nodiscard]] static CompiledEnsemble compile(const GbtRegressor& model,
-                                               CompileOptions options = {});
-  [[nodiscard]] static CompiledEnsemble compile(const RandomForest& model,
-                                               CompileOptions options = {});
-  [[nodiscard]] static CompiledEnsemble compile(const DecisionTree& model,
-                                               CompileOptions options = {});
+  /// Throws std::length_error when the model exceeds the wide word (see
+  /// the file comment).
+  [[nodiscard]] static CompiledEnsemble compile(const GbtRegressor& model);
+  [[nodiscard]] static CompiledEnsemble compile(const RandomForest& model);
+  [[nodiscard]] static CompiledEnsemble compile(const DecisionTree& model);
 
   [[nodiscard]] bool compiled() const noexcept { return !roots_.empty(); }
   [[nodiscard]] std::size_t n_features() const noexcept { return n_features_; }
   [[nodiscard]] std::size_t n_outputs() const noexcept { return n_outputs_; }
-  [[nodiscard]] std::size_t n_nodes() const noexcept { return feature_.size(); }
-
-  /// True when the quantized pool was requested AND the model fit the
-  /// uint8/uint16 code ranges; predict paths then use bin codes.
-  [[nodiscard]] bool quantized() const noexcept { return quantized_; }
-  /// Human-readable reason when quantization was requested but skipped
-  /// (empty when quantized() or never requested).
-  [[nodiscard]] const std::string& quantize_note() const noexcept {
-    return quantize_note_;
-  }
+  [[nodiscard]] std::size_t n_nodes() const noexcept { return payload_.size(); }
 
   /// Batched prediction, bit-identical to the source model's predict().
   /// `pool` distributes row chunks; results do not depend on it.
@@ -130,112 +111,39 @@ class CompiledEnsemble {
   enum class Kind : std::uint8_t { kGbt = 0, kForestMean = 1, kSingleTree = 2 };
 
   /// Rows per tile: big enough to amortize per-tree loop overhead, small
-  /// enough that a tile's accumulators and one tree's hot nodes share L1.
+  /// enough that a tile's codes and one tree's hot nodes share L1.
   static constexpr std::size_t kTile = 512;
 
-  void predict_tile(const Matrix& x, std::size_t lo, std::size_t hi,
-                    Matrix& out) const;
-  /// Quantized tile kernel: `codes` is caller scratch of at least
-  /// (hi - lo) * n_features_ bytes, overwritten with the tile's bin codes.
-  void predict_tile_quantized(const Matrix& x, std::size_t lo, std::size_t hi,
-                              Matrix& out, std::uint8_t* codes) const;
-  /// The walk half of the quantized tile kernel, generic over the packed
-  /// node width (`pool` is q_node32_ or q_node64_); `codes` already binned.
+  /// Derives the per-feature cut tables and the packed pool (narrow or
+  /// wide word) from the fitted trees (node vectors, root at 0) in pool
+  /// order; sets roots_ and depth_. `leaf_payload(leaf)` gives payload_.
+  template <typename Node, typename LeafPayload>
+  void build_pool(const std::vector<const std::vector<Node>*>& trees,
+                  LeafPayload leaf_payload);
+
+  /// Batch kernel over rows [row_begin, row_end): bins each tile into
+  /// `Code`s, then walks it over `pool`.
+  template <typename Word, typename Code>
+  void predict_rows(const Word* pool, const Matrix& x, std::size_t row_begin,
+                    std::size_t row_end, Matrix& out) const;
+  /// Bins rows [lo, hi) into `codes` (row-major, n_features_ per row).
+  template <typename Code>
+  void bin_tile(const Matrix& x, std::size_t lo, std::size_t hi,
+                Code* codes) const noexcept;
+  /// Bins one row: codes[f] = #{cuts c of feature f : !(x[f] <= c)}.
+  template <typename Code>
+  void bin_row(const double* xr, Code* codes) const noexcept;
+  /// The walk half of the tile kernel; `codes` already binned.
+  template <typename Word, typename Code>
+  void walk_tile(const Word* pool, std::size_t lo, std::size_t hi, Matrix& out,
+                 const Code* codes) const;
+  /// Single-row walk over every tree for a pre-binned row.
   template <typename Word>
-  void walk_tile_quantized(const Word* pool, std::size_t lo, std::size_t hi,
-                           Matrix& out, const std::uint8_t* codes) const;
-
-  /// Derives the per-feature cut tables and the uint8/uint16 pool from the
-  /// already-built exact pool; on range overflow leaves the engine exact
-  /// and records the reason. Called by compile() when options.quantize.
-  void build_quantized_pool();
-
-  /// Bin-codes one row: codes[f] = #{cuts of feature f < x[f]}, so
-  /// `codes[f] <= cut_index` decides exactly like `x[f] <= threshold_`.
-  /// The search is a branchless binary chop (the advance is a masked add,
-  /// not a data-dependent jump): std::lower_bound mispredicts ~50% per
-  /// probe on real feature values, which costs as much as the tree walks
-  /// it feeds.
-  void bin_row(const double* xr, std::uint8_t* codes) const noexcept {
-    for (std::size_t f = 0; f < n_features_; ++f) {
-      const double* start = cuts_.data() + cut_begin_[f];
-      const double* base = start;
-      const double v = xr[f];
-      std::size_t n = cut_begin_[f + 1] - cut_begin_[f];
-      while (n > 1) {
-        const std::size_t half = n / 2;
-        base += half & (0 - static_cast<std::size_t>(base[half - 1] < v));
-        n -= half;
-      }
-      const std::size_t below = n == 1 && base[0] < v ? 1 : 0;
-      codes[f] = static_cast<std::uint8_t>(
-          static_cast<std::size_t>(base - start) + below);
-    }
-  }
-
-  /// Walks one tree for one row: exactly `steps` branch-free iterations
-  /// (leaves self-loop, so overshooting is a no-op); returns the leaf.
-  [[nodiscard]] std::int32_t walk(std::int32_t root, std::int32_t steps,
-                                  const double* xr) const noexcept {
-    std::int32_t node = root;
-    for (std::int32_t s = 0; s < steps; ++s) {
-      const auto i = static_cast<std::size_t>(node);
-      // Mask-and-blend keeps the walk branch-free; a ternary may be
-      // lowered to an unpredictable data-dependent jump.
-      const std::int32_t take_left = -static_cast<std::int32_t>(
-          xr[static_cast<std::size_t>(feature_[i])] <= threshold_[i]);
-      node = (left_[i] & take_left) | (right_[i] & ~take_left);
-    }
-    return node;
-  }
-
-  /// One step of the quantized walk: `w` is a packed node word, `qr` the
-  /// row's bin codes. Decodes to `left_child + (code > cut)` — branch-free
-  /// (flag materialized by setcc, no data-dependent jump), and a leaf's
-  /// cut of 255 makes the predicate false so the self-loop holds.
-  [[nodiscard]] static std::uint32_t qstep(std::uint32_t w,
-                                           const std::uint8_t* qr) noexcept {
-    const std::uint8_t code = qr[w & 0xFFU];
-    const std::uint8_t cut = static_cast<std::uint8_t>(w >> 8);
-    return (w >> 16) + static_cast<std::uint32_t>(code > cut);
-  }
-  [[nodiscard]] static std::uint32_t qstep(std::uint64_t w,
-                                           const std::uint8_t* qr) noexcept {
-    const std::uint8_t code = qr[w & 0xFFFFU];
-    const std::uint8_t cut = static_cast<std::uint8_t>(w >> 16);
-    return static_cast<std::uint32_t>(w >> 32) +
-           static_cast<std::uint32_t>(code > cut);
-  }
-
-  /// Quantized walk over one tree's packed nodes for a pre-binned row;
-  /// `origin` is the tree's pool offset (node words hold tree-local child
-  /// indices so they fit uint16). Returns the leaf's GLOBAL pool index
-  /// into q_payload_ (the quantized pool has its own BFS node order).
-  [[nodiscard]] std::int32_t qwalk(std::int32_t origin, std::int32_t steps,
-                                   const std::uint8_t* qr) const noexcept {
-    std::uint32_t local = 0;
-    if (!q_node32_.empty()) {
-      const std::uint32_t* qn =
-          q_node32_.data() + static_cast<std::size_t>(origin);
-      for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
-    } else {
-      const std::uint64_t* qn =
-          q_node64_.data() + static_cast<std::size_t>(origin);
-      for (std::int32_t s = 0; s < steps; ++s) local = qstep(qn[local], qr);
-    }
-    return origin + static_cast<std::int32_t>(local);
-  }
+  void walk_row(const Word* pool, const std::uint16_t* codes,
+                std::span<double> out) const noexcept;
 
   Kind kind_ = Kind::kGbt;
-  // SoA node pool over every tree. Leaves are self-loops (left_ ==
-  // right_ == self, feature_ == 0) carrying their payload in threshold_:
-  // the scalar leaf weight for GBT, the offset of the leaf's value vector
-  // in values_ for forest/tree.
-  std::vector<std::int32_t> feature_;
-  std::vector<double> threshold_;
-  std::vector<std::int32_t> left_;
-  std::vector<std::int32_t> right_;
-  std::vector<std::int32_t> roots_;  ///< node index of each tree's root
+  std::vector<std::int32_t> roots_;  ///< pool offset of each tree's root
   std::vector<std::int32_t> depth_;  ///< per-tree walk length (max depth)
   // kGbt: trees [output_begin_[k], output_begin_[k+1]) belong to output k,
   // in boosting-round order; base_[k] is the per-output prior.
@@ -249,27 +157,21 @@ class CompiledEnsemble {
   std::size_t n_outputs_ = 0;
   double n_trees_ = 1.0;  ///< kForestMean: mean divisor (reference divides)
 
-  // Quantized pool (built only when CompileOptions::quantize and the model
-  // fits the code ranges). Trees keep their roots_ offsets but renumber
-  // nodes internally in BFS order with sibling children adjacent; each
-  // node packs into one word. Models with <= 255 features use q_node32_ —
-  // bits [0,8) feature, [8,16) cut index (255 marks a leaf), [16,32)
-  // TREE-LOCAL index of the left child (right child = left + 1; a leaf
-  // points at itself) — wider models use q_node64_ with the same shape at
-  // uint16 field widths (feature [0,16), cut [16,24), child [32,48)).
-  // Exactly one of the two is non-empty when quantized_. q_payload_
-  // mirrors the exact threshold_ payload in the BFS order: the scalar
-  // leaf weight for GBT, the values_ offset for forest/tree, 0 for
-  // internal nodes. Per-feature sorted distinct cut values live flat in
-  // cuts_ with cut_begin_ offsets (size n_features_ + 1), exactly the
-  // FeatureBins layout from hist training.
-  bool quantized_ = false;
-  std::string quantize_note_;
+  // Per-feature sorted distinct cut values, flat in cuts_ with cut_begin_
+  // offsets (size n_features_ + 1) — the FeatureBins layout from hist
+  // training.
   std::vector<double> cuts_;
   std::vector<std::uint32_t> cut_begin_;
-  std::vector<std::uint32_t> q_node32_;
-  std::vector<std::uint64_t> q_node64_;
-  std::vector<double> q_payload_;
+  // The packed pool, in BFS order per tree; exactly one of the two is
+  // non-empty once compiled. node32_: bits [0,8) feature, [8,16) cut
+  // index (255 marks a leaf), [16,32) tree-local left child. node64_:
+  // [0,16) feature, [16,32) cut index (65535 marks a leaf), [32,64)
+  // tree-local left child. A leaf's child is itself.
+  std::vector<std::uint32_t> node32_;
+  std::vector<std::uint64_t> node64_;
+  // Per pool node: the scalar leaf weight for GBT, the values_ offset for
+  // forest/tree, 0 for internal nodes.
+  std::vector<double> payload_;
 };
 
 }  // namespace mphpc::ml

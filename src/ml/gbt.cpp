@@ -504,11 +504,15 @@ inline void gradients(GbtObjective objective, double delta, double pred, double 
 /// Structural validation of an untrusted (deserialized) tree. GbtTree::
 /// predict indexes nodes unchecked and follows child links in a loop, so a
 /// corrupt model could otherwise read out of bounds or cycle forever:
-/// every internal node must reference a real feature and strictly-forward
-/// in-range children (forward links make the node graph acyclic), and
+/// every internal node must reference a real feature, split on a finite
+/// threshold (CompiledEnsemble sorts each feature's thresholds into a cut
+/// table; NaN breaks that ordering) and link strictly-forward in-range
+/// children (forward links make the node graph acyclic), no node may have
+/// two parents (the compiled engine relays trees out breadth-first), and
 /// leaves must not carry children.
 void validate_tree_topology(const GbtTree& tree, std::size_t n_feat) {
   const auto n_nodes = static_cast<long long>(tree.nodes.size());
+  std::vector<bool> has_parent(tree.nodes.size(), false);
   for (std::size_t node = 0; node < tree.nodes.size(); ++node) {
     const GbtNode& gn = tree.nodes[node];
     const std::string at = "gbt: node " + std::to_string(node);
@@ -522,10 +526,20 @@ void validate_tree_topology(const GbtTree& tree, std::size_t n_feat) {
       throw ParseError(at + ": feature " + std::to_string(gn.feature) +
                        " out of range");
     }
+    if (!std::isfinite(gn.threshold)) {
+      throw ParseError(at + ": non-finite threshold");
+    }
     const auto self = static_cast<long long>(node);
     if (gn.left <= self || gn.left >= n_nodes || gn.right <= self ||
         gn.right >= n_nodes) {
       throw ParseError(at + ": child links must point forward and in range");
+    }
+    for (const int child : {gn.left, gn.right}) {
+      if (has_parent[static_cast<std::size_t>(child)]) {
+        throw ParseError(at + ": node " + std::to_string(child) +
+                         " has more than one parent");
+      }
+      has_parent[static_cast<std::size_t>(child)] = true;
     }
   }
 }

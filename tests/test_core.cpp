@@ -203,6 +203,23 @@ TEST_F(PipelineTest, SerializeRoundTrips) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
+TEST_F(PipelineTest, DeserializeRejectsNonFiniteOrNonPositiveStats) {
+  const auto text = [](const std::string& bad_row) {
+    std::string t = "feature_pipeline " +
+                    std::to_string(FeaturePipeline::kNumStandardized) + "\n";
+    for (std::size_t j = 0; j < FeaturePipeline::kNumStandardized; ++j) {
+      t += j == 1 ? bad_row : "0.5 2";
+      t += "\n";
+    }
+    return t;
+  };
+  EXPECT_DOUBLE_EQ(FeaturePipeline::deserialize(text("-3 0.25")).stddev(1), 0.25);
+  for (const std::string bad :
+       {"nan 1", "inf 1", "-inf 1", "0 nan", "0 inf", "0 0", "0 -1"}) {
+    EXPECT_THROW((void)FeaturePipeline::deserialize(text(bad)), ParseError) << bad;
+  }
+}
+
 TEST_F(PipelineTest, UnfittedTransformThrows) {
   const FeaturePipeline pipeline;
   FeaturePipeline::FeatureVector f{};

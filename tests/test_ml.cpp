@@ -4,6 +4,11 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -422,6 +427,26 @@ TEST(Gbt, SerializeRoundTripsPredictions) {
 TEST(Gbt, DeserializeRejectsGarbage) {
   EXPECT_THROW(GbtRegressor::deserialize(""), ParseError);
   EXPECT_THROW(GbtRegressor::deserialize("not-a-model 1 2\n"), ParseError);
+  // A non-finite split threshold: NaN has no place in a sorted cut table.
+  for (const std::string t : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW(GbtRegressor::deserialize("gbt 1 2\nbase 0\n"
+                                           "importance_gain 0 0\n"
+                                           "importance_count 0 0\n"
+                                           "tree 0 3\n0 " + t + " 1 2 0\n"
+                                           "-1 0 -1 -1 0.25\n"
+                                           "-1 0 -1 -1 -0.25\n"),
+                 ParseError)
+        << t;
+  }
+  // Forward links alone still allow a DAG; every node needs one parent.
+  EXPECT_THROW(GbtRegressor::deserialize("gbt 1 2\nbase 0\n"
+                                         "importance_gain 0 0\n"
+                                         "importance_count 0 0\n"
+                                         "tree 0 4\n0 0.5 1 2 0\n"
+                                         "1 0.5 2 3 0\n"  // node 2 twice
+                                         "-1 0 -1 -1 0.25\n"
+                                         "-1 0 -1 -1 -0.25\n"),
+               ParseError);
 }
 
 TEST(Gbt, DeterministicAcrossThreadCounts) {
@@ -905,6 +930,12 @@ TEST(RandomForest, HistDeterministicAcrossThreadCounts) {
 }
 
 // ------------------------------------------------ compiled ensemble parity ----
+//
+// The compiled bin-code engine must agree bit-for-bit with the reference
+// walkers (GbtTree::predict, DecisionTree::predict_one) on every row. Each
+// case runs its inputs through with_edge_rows(), which appends the values
+// a bin code can get wrong: NaN, +inf, -inf, and every fitted threshold
+// with its two double neighbours.
 
 void expect_matrices_identical(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
@@ -926,22 +957,138 @@ void expect_row_parity(const CompiledEnsemble& compiled, const Matrix& x,
   }
 }
 
+/// Every distinct (feature, threshold) split of a fitted model.
+using Splits = std::set<std::pair<int, double>>;
+
+template <typename Node>
+void collect_splits(const std::vector<Node>& nodes, Splits& out) {
+  for (const Node& node : nodes) {
+    if (!node.is_leaf()) out.insert({node.feature, node.threshold});
+  }
+}
+Splits splits_of(const GbtRegressor& model) {
+  Splits out;
+  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
+    for (const GbtTree& tree : model.ensemble(k)) collect_splits(tree.nodes, out);
+  }
+  return out;
+}
+Splits splits_of(const DecisionTree& model) {
+  Splits out;
+  collect_splits(model.nodes(), out);
+  return out;
+}
+Splits splits_of(const RandomForest& model) {
+  Splits out;
+  for (const DecisionTree& tree : model.trees()) collect_splits(tree.nodes(), out);
+  return out;
+}
+
+/// The most distinct thresholds any one feature carries.
+std::size_t most_cuts(const Splits& splits) {
+  std::map<int, std::size_t> per_feature;
+  for (const auto& split : splits) ++per_feature[split.first];
+  std::size_t most = 0;
+  for (const auto& entry : per_feature) most = std::max(most, entry.second);
+  return most;
+}
+
+/// `x` followed by edge rows (copies of row 0): NaN, +inf and -inf in
+/// every feature at once and in each feature alone, then each fitted
+/// threshold, exactly on the cut and one ulp either side.
+template <typename Model>
+Matrix with_edge_rows(const Matrix& x, const Model& model) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  std::vector<double> flat(x.flat().begin(), x.flat().end());
+  const auto add = [&](std::size_t feature, double v) {
+    std::vector<double> row(x.row(0).begin(), x.row(0).end());
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      if (feature == kAll || feature == f) row[f] = v;
+    }
+    flat.insert(flat.end(), row.begin(), row.end());
+  };
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    add(kAll, v);
+    for (std::size_t f = 0; f < x.cols(); ++f) add(f, v);
+  }
+  for (const auto& [feature, t] : splits_of(model)) {
+    for (const double v : {t, std::nextafter(t, -kInf), std::nextafter(t, kInf)}) {
+      add(static_cast<std::size_t>(feature), v);
+    }
+  }
+  const std::size_t rows = flat.size() / x.cols();
+  return Matrix(rows, x.cols(), std::move(flat));
+}
+
+/// Compiles `model` and checks batch and single-row predictions against
+/// the reference walkers on `x` plus its edge rows.
+template <typename Model>
+void expect_compiled_parity(const Model& model, const Matrix& x) {
+  const Matrix rows = with_edge_rows(x, model);
+  const auto compiled = CompiledEnsemble::compile(model);
+  const Matrix reference = model.predict(rows);
+  expect_matrices_identical(compiled.predict(rows), reference);
+  expect_row_parity(compiled, rows, reference);
+}
+
+/// An exact-greedy model past the narrow word's 255 cuts on a feature:
+/// boosting mints fresh midpoint thresholds every round (the residuals
+/// move, so the chosen splits move), so it compiles to the wide pool.
+GbtRegressor wide_gbt() {
+  const Problem p = make_problem(400, 0.4, 69);
+  GbtOptions options = gbt_with(GbtTreeMethod::kExact);
+  options.n_rounds = 80;
+  options.max_depth = 6;
+  GbtRegressor model(options);
+  model.fit(p.x, p.y);
+  return model;
+}
+
 TEST(CompiledParity, GbtExactBitIdentical) {
   const Problem p = make_problem(300, 0.3, 50);
   GbtRegressor model(gbt_with(GbtTreeMethod::kExact));
   model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x), reference);
-  expect_row_parity(compiled, p.x, reference);
+  expect_compiled_parity(model, p.x);
 }
 
 TEST(CompiledParity, GbtHistBitIdentical) {
   const Problem p = make_problem(300, 0.3, 51);
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
   model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
+  expect_compiled_parity(model, p.x);
+}
+
+TEST(CompiledParity, WideModelBitIdentical) {
+  const GbtRegressor model = wide_gbt();
+  ASSERT_GT(most_cuts(splits_of(model)), 255u);
+  expect_compiled_parity(model, make_problem(400, 0.4, 69).x);
+}
+
+/// A one-output model over `n_feat` features whose root splits on the
+/// last feature and whose left child splits on feature 0.
+GbtRegressor gbt_over_features(int n_feat) {
+  std::string zeros;
+  for (int f = 0; f < n_feat; ++f) zeros += " 0";
+  return GbtRegressor::deserialize(
+      "gbt 1 " + std::to_string(n_feat) + "\nmethod hist 64\nbase 0.5\n" +
+      "importance_gain" + zeros + "\nimportance_count" + zeros + "\n" +
+      "tree 0 5\n" + std::to_string(n_feat - 1) + " 0.25 1 2 0\n" +
+      "0 -1.5 3 4 0\n-1 0 -1 -1 2\n-1 0 -1 -1 -1\n-1 0 -1 -1 1\n");
+}
+
+TEST(CompiledParity, WideByFeatureCountBitIdentical) {
+  // 255 features fit the narrow word's uint8 feature field; 256 and 300
+  // take the wide word.
+  for (const int n_feat : {255, 256, 300}) {
+    Rng rng(70 + static_cast<std::uint64_t>(n_feat));
+    Matrix x(40, static_cast<std::size_t>(n_feat));
+    for (double& v : x.flat()) v = -3.0 + 6.0 * rng.uniform();
+    expect_compiled_parity(gbt_over_features(n_feat), x);
+  }
+  // 65537 features overflow even the wide word's uint16 feature field.
+  EXPECT_THROW((void)CompiledEnsemble::compile(gbt_over_features(65537)),
+               std::length_error);
 }
 
 TEST(CompiledParity, RandomForestBitIdentical) {
@@ -952,10 +1099,7 @@ TEST(CompiledParity, RandomForestBitIdentical) {
     options.method = method;
     RandomForest model(options);
     model.fit(p.x, p.y);
-    const auto compiled = CompiledEnsemble::compile(model);
-    const Matrix reference = model.predict(p.x);
-    expect_matrices_identical(compiled.predict(p.x), reference);
-    expect_row_parity(compiled, p.x, reference);
+    expect_compiled_parity(model, p.x);
   }
 }
 
@@ -963,10 +1107,7 @@ TEST(CompiledParity, DecisionTreeBitIdentical) {
   const Problem p = make_problem(300, 0.3, 53);
   DecisionTree model;
   model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x), reference);
-  expect_row_parity(compiled, p.x, reference);
+  expect_compiled_parity(model, p.x);
 }
 
 TEST(CompiledParity, StumpBitIdentical) {
@@ -975,8 +1116,7 @@ TEST(CompiledParity, StumpBitIdentical) {
   options.max_depth = 1;  // a single split: root plus two leaves
   DecisionTree model(options);
   model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
+  expect_compiled_parity(model, p.x);
 }
 
 TEST(CompiledParity, SingleLeafConstantTargetBitIdentical) {
@@ -986,75 +1126,25 @@ TEST(CompiledParity, SingleLeafConstantTargetBitIdentical) {
   for (double& v : y.flat()) v = 2.75;
   DecisionTree tree;
   tree.fit(base.x, y);
-  expect_matrices_identical(CompiledEnsemble::compile(tree).predict(base.x),
-                            tree.predict(base.x));
+  expect_compiled_parity(tree, base.x);
   GbtRegressor gbt(small_gbt());
   gbt.fit(base.x, y);
-  expect_matrices_identical(CompiledEnsemble::compile(gbt).predict(base.x),
-                            gbt.predict(base.x));
+  expect_compiled_parity(gbt, base.x);
 }
 
-TEST(CompiledParity, SerializedModelRecompilesIdentically) {
-  const Problem p = make_problem(300, 0.3, 56);
+TEST(CompiledParity, ConstantFeatureBitIdentical) {
+  // No split ever touches a constant feature, so its cut table is empty.
+  const Problem p = make_problem(200, 0.3, 68);
+  Matrix x = p.x;
+  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 2) = 1.5;
   GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
-  expect_matrices_identical(CompiledEnsemble::compile(restored).predict(p.x),
-                            CompiledEnsemble::compile(model).predict(p.x));
+  model.fit(x, p.y);
+  expect_compiled_parity(model, x);
 }
 
-TEST(CompiledParity, DeterministicAcrossThreadCounts) {
-  const Problem p = make_problem(700, 0.3, 57);
-  GbtRegressor model(small_gbt());
-  model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model);
-  const Matrix reference = model.predict(p.x);
-  expect_matrices_identical(compiled.predict(p.x, nullptr), reference);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    expect_matrices_identical(compiled.predict(p.x, &pool), reference);
-  }
-}
-
-// ---------------------------------------------- quantized bin-code parity ----
-//
-// The quantized engine gates on two properties (the exact engine keeps its
-// bit-identity gate above): quantized-vs-exact RMSE within 1% of the
-// prediction scale on arbitrary rows, and bit-identity on rows whose
-// feature values sit exactly on (or adjacent to) the fitted cut values.
-// The current cut-table scheme is lossless, so it passes both trivially;
-// the tests assert only the contract so a future lossy quantizer (e.g.
-// coarser re-binning) still has a green gate to hit.
-
-/// RMS magnitude of a prediction matrix, the scale for the 1% RMSE gate.
-double rms_scale(const Matrix& m) {
-  return root_mean_squared_error(m, Matrix(m.rows(), m.cols()));
-}
-
-void expect_rmse_parity(const Matrix& exact, const Matrix& quantized) {
-  ASSERT_EQ(exact.rows(), quantized.rows());
-  ASSERT_EQ(exact.cols(), quantized.cols());
-  EXPECT_LE(root_mean_squared_error(exact, quantized),
-            0.01 * rms_scale(exact) + 1e-12);
-}
-
-TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
-  const Problem p = make_problem(300, 0.3, 60);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  EXPECT_TRUE(quantized.quantize_note().empty());
-  const auto exact = CompiledEnsemble::compile(model);
-  EXPECT_FALSE(exact.quantized());
-  const Problem held = make_problem(200, 0.3, 61);
-  expect_rmse_parity(exact.predict(held.x), quantized.predict(held.x));
-  expect_row_parity(quantized, held.x, quantized.predict(held.x));
-}
-
-TEST(QuantizedParity, FuzzRandomEnsemblesRandomRows) {
+TEST(CompiledParity, FuzzRandomEnsemblesRandomRows) {
   // Random ensembles x random rows (deliberately outside the training
-  // range): the RMSE-parity gate must hold for every shape.
+  // range), both tree methods.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     GbtOptions options = small_gbt();
     options.n_rounds = 8 + static_cast<int>(seed) * 11;
@@ -1067,140 +1157,111 @@ TEST(QuantizedParity, FuzzRandomEnsemblesRandomRows) {
     Rng rng(100 + seed);
     Matrix rows(150, 3);
     for (double& v : rows.flat()) v = -0.5 + 2.0 * rng.uniform();
-    const auto exact = CompiledEnsemble::compile(model);
-    const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-    if (options.tree_method == GbtTreeMethod::kHist) {
-      // Hist training draws every threshold from <= max_bins bin edges,
-      // so the quantized pool must always be available. Exact training
-      // mints fresh midpoints every round and may legitimately overflow
-      // the uint8 cut range — then the exact pool serves and the parity
-      // check below still must hold.
-      ASSERT_TRUE(quantized.quantized()) << quantized.quantize_note();
-    }
-    expect_rmse_parity(exact.predict(rows), quantized.predict(rows));
+    expect_compiled_parity(model, rows);
   }
 }
 
-TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
-  // Rows whose feature values are the fitted thresholds themselves (and
-  // their immediate double neighbours — the hardest boundary cases) must
-  // predict bit-identically to the exact engine.
-  const Problem p = make_problem(300, 0.3, 64);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  std::vector<double> base(p.x.row(0).begin(), p.x.row(0).end());
-  std::vector<double> flat;
-  for (std::size_t k = 0; k < model.n_outputs(); ++k) {
-    for (const GbtTree& tree : model.ensemble(k)) {
-      for (const GbtNode& node : tree.nodes) {
-        if (node.is_leaf()) continue;
-        for (const double v :
-             {node.threshold,
-              std::nextafter(node.threshold, -std::numeric_limits<double>::infinity()),
-              std::nextafter(node.threshold, std::numeric_limits<double>::infinity())}) {
-          std::vector<double> row = base;
-          row[static_cast<std::size_t>(node.feature)] = v;
-          flat.insert(flat.end(), row.begin(), row.end());
-        }
+/// Checks that `model` survives a serialize round trip into an engine
+/// bit-identical to the reference walkers on `x` plus its edge rows.
+void expect_round_trip_parity(const GbtRegressor& model, const Matrix& x) {
+  const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
+  const Matrix rows = with_edge_rows(x, model);
+  expect_matrices_identical(CompiledEnsemble::compile(restored).predict(rows),
+                            model.predict(rows));
+}
+
+/// Checks that batch predictions of `model` on `x` plus its edge rows match
+/// the reference walkers with no pool and with 1, 2 and 8 threads.
+void expect_thread_count_parity(const GbtRegressor& model, const Matrix& x) {
+  const Matrix rows = with_edge_rows(x, model);
+  const auto compiled = CompiledEnsemble::compile(model);
+  const Matrix reference = model.predict(rows);
+  expect_matrices_identical(compiled.predict(rows, nullptr), reference);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    expect_matrices_identical(compiled.predict(rows, &pool), reference);
+  }
+}
+
+// The narrow-pool counterparts of the next two cases are in QuantizedParity.
+TEST(CompiledParity, SerializedModelRecompilesIdentically) {
+  expect_round_trip_parity(wide_gbt(), make_problem(300, 0.3, 56).x);
+}
+
+TEST(CompiledParity, DeterministicAcrossThreadCounts) {
+  expect_thread_count_parity(wide_gbt(), make_problem(700, 0.3, 57).x);
+}
+
+TEST(CompiledParity, RowScratchReuseMatchesBatch) {
+  // One scratch reused across every row of a narrow and a wide engine.
+  const Problem p = make_problem(200, 0.3, 67);
+  GbtRegressor hist(gbt_with(GbtTreeMethod::kHist));
+  hist.fit(p.x, p.y);
+  CompiledEnsemble::RowScratch scratch;
+  for (const GbtRegressor& model : {hist, wide_gbt()}) {
+    const Matrix rows = with_edge_rows(p.x, model);
+    const auto compiled = CompiledEnsemble::compile(model);
+    const Matrix reference = model.predict(rows);
+    std::vector<double> out(compiled.n_outputs());
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      compiled.predict_row(rows.row(r), out, scratch);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        EXPECT_EQ(out[k], reference(r, k)) << "row " << r << " output " << k;
       }
     }
   }
-  const std::size_t n_rows = flat.size() / 3;
-  const Matrix rows(n_rows, 3, std::move(flat));
-  const auto exact = CompiledEnsemble::compile(model);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  expect_matrices_identical(exact.predict(rows), quantized.predict(rows));
+}
+
+// ---------------------------------------------- quantized bin-code parity ----
+//
+// Hist-trained models carry at most 255 cuts per feature, so they compile
+// to the narrow word and walk uint8 bin codes. These cases pin that pool
+// against the reference walkers.
+
+/// A hist-trained GBT on `p`, checked to fit the narrow word's uint8 codes.
+GbtRegressor narrow_gbt(const Problem& p) {
+  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
+  model.fit(p.x, p.y);
+  EXPECT_LE(most_cuts(splits_of(model)), 255u);
+  return model;
+}
+
+TEST(QuantizedParity, GbtHistQuantizedEngineServes) {
+  const GbtRegressor model = narrow_gbt(make_problem(300, 0.3, 60));
+  expect_compiled_parity(model, make_problem(200, 0.3, 61).x);  // held out
+}
+
+TEST(QuantizedParity, BinRepresentativeRowsBitIdentical) {
+  // Rows whose feature values are the fitted thresholds themselves and
+  // their immediate double neighbours: the rows that land on a bin edge.
+  const Problem p = make_problem(300, 0.3, 64);
+  const GbtRegressor model = narrow_gbt(p);
+  std::vector<double> flat;
+  for (const auto& [feature, t] : splits_of(model)) {
+    for (const double v : {t, std::nextafter(t, -std::numeric_limits<double>::infinity()),
+                           std::nextafter(t, std::numeric_limits<double>::infinity())}) {
+      std::vector<double> row(p.x.row(0).begin(), p.x.row(0).end());
+      row[static_cast<std::size_t>(feature)] = v;
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+  }
+  const std::size_t n_rows = flat.size() / p.x.cols();
+  ASSERT_GT(n_rows, 0u);
+  const Matrix rows(n_rows, p.x.cols(), std::move(flat));
+  const auto compiled = CompiledEnsemble::compile(model);
+  const Matrix reference = model.predict(rows);
+  expect_matrices_identical(compiled.predict(rows), reference);
+  expect_row_parity(compiled, rows, reference);
 }
 
 TEST(QuantizedParity, DeterministicAcrossThreadCounts) {
   const Problem p = make_problem(700, 0.3, 65);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  const Matrix reference = quantized.predict(p.x, nullptr);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    expect_matrices_identical(quantized.predict(p.x, &pool), reference);
-  }
+  expect_thread_count_parity(narrow_gbt(p), p.x);
 }
 
 TEST(QuantizedParity, SerializedModelRecompilesQuantizedIdentically) {
   const Problem p = make_problem(300, 0.3, 66);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const GbtRegressor restored = GbtRegressor::deserialize(model.serialize());
-  const auto a = CompiledEnsemble::compile(model, {.quantize = true});
-  const auto b = CompiledEnsemble::compile(restored, {.quantize = true});
-  ASSERT_TRUE(a.quantized());
-  ASSERT_TRUE(b.quantized());
-  expect_matrices_identical(a.predict(p.x), b.predict(p.x));
-}
-
-TEST(QuantizedParity, RowScratchReuseMatchesBatch) {
-  const Problem p = make_problem(200, 0.3, 67);
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(p.x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  const Matrix batch = quantized.predict(p.x);
-  CompiledEnsemble::RowScratch scratch;  // reused across every row
-  std::vector<double> out(quantized.n_outputs());
-  for (std::size_t r = 0; r < p.x.rows(); ++r) {
-    quantized.predict_row(p.x.row(r), out, scratch);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      EXPECT_EQ(out[k], batch(r, k)) << "row " << r << " output " << k;
-    }
-  }
-}
-
-TEST(QuantizedParity, DegenerateModels) {
-  // Stump: a single split.
-  const Problem p = make_problem(200, 0.3, 68);
-  TreeOptions stump_options;
-  stump_options.max_depth = 1;
-  DecisionTree stump(stump_options);
-  stump.fit(p.x, p.y);
-  const auto qstump = CompiledEnsemble::compile(stump, {.quantize = true});
-  ASSERT_TRUE(qstump.quantized());
-  expect_matrices_identical(qstump.predict(p.x), stump.predict(p.x));
-
-  // Single leaf: a constant target collapses every tree (walk length 0).
-  Matrix constant_y(p.y.rows(), p.y.cols());
-  for (double& v : constant_y.flat()) v = 2.75;
-  GbtRegressor leaf_gbt(small_gbt());
-  leaf_gbt.fit(p.x, constant_y);
-  const auto qleaf = CompiledEnsemble::compile(leaf_gbt, {.quantize = true});
-  ASSERT_TRUE(qleaf.quantized());
-  expect_matrices_identical(qleaf.predict(p.x), leaf_gbt.predict(p.x));
-
-  // Constant feature: no splits ever touch it, so its cut table is empty.
-  Matrix x = p.x;
-  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 2) = 1.5;
-  GbtRegressor model(gbt_with(GbtTreeMethod::kHist));
-  model.fit(x, p.y);
-  const auto quantized = CompiledEnsemble::compile(model, {.quantize = true});
-  ASSERT_TRUE(quantized.quantized());
-  expect_matrices_identical(quantized.predict(x), model.predict(x));
-}
-
-TEST(QuantizedParity, WideModelFallsBackToExact) {
-  // Exact-greedy boosting mints fresh midpoint thresholds every round (the
-  // residuals move, so the chosen splits move): enough rounds on enough
-  // rows exceed 255 distinct cuts on a feature. The engine must keep
-  // serving bit-identically (via the exact pool) and say why it skipped
-  // quantization.
-  const Problem p = make_problem(400, 0.4, 69);
-  GbtOptions options = gbt_with(GbtTreeMethod::kExact);
-  options.n_rounds = 80;
-  options.max_depth = 6;
-  GbtRegressor model(options);
-  model.fit(p.x, p.y);
-  const auto compiled = CompiledEnsemble::compile(model, {.quantize = true});
-  EXPECT_FALSE(compiled.quantized());
-  EXPECT_FALSE(compiled.quantize_note().empty());
-  expect_matrices_identical(compiled.predict(p.x), model.predict(p.x));
+  expect_round_trip_parity(narrow_gbt(p), p.x);
 }
 
 // Parameterized noise sweep: learned models should always beat the mean

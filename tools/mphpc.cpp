@@ -2,10 +2,10 @@
 //
 //   mphpc dataset  [--inputs N] [--campaign-dir DIR] [--out FILE.csv]
 //   mphpc train    [--inputs N] [--out MODEL] [--rounds N] [--depth N] [--bins B]
-//                  [--tree-method exact|hist] [--quantize]
+//                  [--tree-method hist|exact]
 //                  [--checkpoint-every K] [--resume]
 //                  (checkpointed runs default --campaign-dir to MODEL.campaign)
-//   mphpc evaluate [--inputs N] [--model MODEL] [--quantize]
+//   mphpc evaluate [--inputs N] [--model MODEL] [--tree-method hist|exact]
 //   mphpc predict  --app NAME [--system SYS] [--scale 1core|1node|2node]
 //                  [--model MODEL]
 //   mphpc schedule [--jobs N] [--inputs N] [--strategy all|rr|random|user|model|oracle]
@@ -17,7 +17,7 @@
 //   mphpc sched-scale [--jobs N] [--depth D] [--arrival-rate R]
 //                  [--node-mtbf-h H] [--mttr-h H] [--kill-prob P]
 //                  [--max-attempts K] [--seed S] [--out FILE.json]
-//   mphpc serve    --state-dir DIR [--model MODEL] [--quantize] [--socket PATH]
+//   mphpc serve    --state-dir DIR [--model MODEL] [--socket PATH]
 //                  [--refit-every K] [--drift-window N] [--trip-mae X]
 //                  [--recover-mae X] [--queue-cap N] [--batch-max N]
 //                  [--deadline-ms MS] [--threads N]
@@ -127,16 +127,16 @@ core::CrossArchPredictor::Options predictor_options(const Args& args) {
   options.gbt.n_rounds = args.get_int("rounds", 200);
   options.gbt.max_depth = args.get_int("depth", 7);
   options.gbt.max_bins = args.get_int("bins", options.gbt.max_bins);
-  const std::string method = args.get("tree-method", "exact");
-  if (method == "hist") {
+  // Without the flag, GbtOptions' default tree method (hist) stands.
+  const std::string method = args.get("tree-method", "");
+  if (method == "exact") {
+    options.gbt.tree_method = ml::TreeMethod::kExact;
+  } else if (method == "hist") {
     options.gbt.tree_method = ml::TreeMethod::kHist;
-  } else if (method != "exact") {
+  } else if (!method.empty()) {
     throw std::runtime_error("unknown --tree-method '" + method +
-                             "' (exact|hist)");
+                             "' (hist|exact)");
   }
-  // Serving-side knob: the model text is identical either way, only the
-  // compiled inference engine changes (losslessly; see CompileOptions).
-  options.quantize = args.has("quantize");
   return options;
 }
 
@@ -216,7 +216,6 @@ int cmd_evaluate(const Args& args) {
   core::EvalMetrics metrics;
   if (args.has("model")) {
     auto predictor = core::CrossArchPredictor::load(args.get("model", ""));
-    predictor.set_quantized(args.has("quantize"));
     metrics = core::evaluate(y_test, predictor.predict(x_test));
   } else {
     const auto options = predictor_options(args);
@@ -769,7 +768,6 @@ int cmd_serve(const Args& args) {
   }
   std::filesystem::create_directories(core_options.state_dir);
   core_options.model_path = args.get("model", "");
-  core_options.quantize = args.has("quantize");
   core_options.drift.window = static_cast<std::size_t>(args.get_int(
       "drift-window", static_cast<int>(core_options.drift.window)));
   core_options.drift.trip_mae =
@@ -866,12 +864,11 @@ void usage() {
       "mphpc — cross-architecture performance prediction toolkit\n\n"
       "  mphpc dataset  [--inputs N] [--campaign-dir DIR] [--out FILE.csv]\n"
       "  mphpc train    [--inputs N] [--rounds N] [--depth N] [--bins B]\n"
-      "                 [--tree-method exact|hist] [--quantize]\n"
+      "                 [--tree-method hist|exact]\n"
       "                 [--checkpoint-every K] [--resume] [--out MODEL]\n"
       "                 (checkpointed runs cache the campaign in MODEL.campaign\n"
       "                  unless --campaign-dir is given)\n"
-      "  mphpc evaluate [--inputs N] [--model MODEL] [--tree-method exact|hist]\n"
-      "                 [--quantize]\n"
+      "  mphpc evaluate [--inputs N] [--model MODEL] [--tree-method hist|exact]\n"
       "  mphpc predict  --app NAME [--system SYS] [--scale 1core|1node|2node]\n"
       "                 [--model MODEL]\n"
       "  mphpc schedule [--jobs N] [--strategy all|rr|random|user|model|oracle]\n"
@@ -883,8 +880,7 @@ void usage() {
       "  mphpc sched-scale [--jobs N] [--depth D] [--arrival-rate R]\n"
       "                 [--node-mtbf-h H] [--mttr-h H] [--kill-prob P]\n"
       "                 [--max-attempts K] [--seed S] [--out FILE.json]\n"
-      "  mphpc serve    --state-dir DIR [--model MODEL] [--quantize]\n"
-      "                 [--socket PATH]\n"
+      "  mphpc serve    --state-dir DIR [--model MODEL] [--socket PATH]\n"
       "                 [--workers N] [--restart-max K] [--restart-base-delay-s S]\n"
       "                 [--restart-max-delay-s S] [--heartbeat-timeout-s S]\n"
       "                 [--store-poll-s S] [--refit-every K] [--refit-rounds R]\n"
