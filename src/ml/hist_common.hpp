@@ -106,21 +106,28 @@ class NodePartition {
   /// Stably partitions node nid's range by `codes[item] <= bin` (left
   /// first), registers the two children as the next consecutive node ids
   /// (left then right), and returns the left child's item count.
+  ///
+  /// Branchless: every item is written to both the left cursor (in place;
+  /// the cursor never passes the read position) and the right staging
+  /// cursor, and only the matching cursor advances.
   std::size_t split(std::size_t nid, const std::uint8_t* codes, int bin) {
     MPHPC_EXPECTS(nid < begin_.size() && codes != nullptr);
     const std::size_t lo = begin_[nid];
     const std::size_t hi = end_[nid];
-    std::size_t out = lo;
+    std::uint32_t* items = items_.data();
+    std::uint32_t* right = scratch_.data();
+    std::size_t n_left = lo;
+    std::size_t n_right = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (static_cast<int>(codes[items_[i]]) <= bin) scratch_[out++] = items_[i];
+      const std::uint32_t item = items[i];
+      const std::size_t goes_left = static_cast<int>(codes[item]) <= bin ? 1 : 0;
+      items[n_left] = item;
+      right[n_right] = item;
+      n_left += goes_left;
+      n_right += 1 - goes_left;
     }
-    const std::size_t mid = out;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (static_cast<int>(codes[items_[i]]) > bin) scratch_[out++] = items_[i];
-    }
-    std::copy(scratch_.begin() + static_cast<std::ptrdiff_t>(lo),
-              scratch_.begin() + static_cast<std::ptrdiff_t>(hi),
-              items_.begin() + static_cast<std::ptrdiff_t>(lo));
+    const std::size_t mid = n_left;
+    std::copy(right, right + n_right, items + mid);
     begin_.insert(begin_.end(), {lo, mid});
     end_.insert(end_.end(), {mid, hi});
     return mid - lo;
