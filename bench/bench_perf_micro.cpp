@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -266,6 +267,35 @@ void BM_GbtCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbtCompile)->Unit(benchmark::kMillisecond);
+
+// Model-text round trip of the paper-scale predictor (the paper's ~11.3k-row
+// campaign, 200 rounds, depth 7, ~145k nodes): serialize_text + from_text,
+// recompilation included. Every model-store load and serve refit pays it.
+const core::CrossArchPredictor& paper_predictor() {
+  static const core::CrossArchPredictor predictor = [] {
+    const auto ds = core::build_dataset(run_campaign(apps(), systems(), sim::CampaignOptions{},
+                                                     &ThreadPool::shared()));
+    core::CrossArchPredictor::Options options;
+    options.gbt.n_rounds = 200;
+    options.gbt.max_depth = 7;
+    core::CrossArchPredictor p(options);
+    p.train(ds, {}, &ThreadPool::shared());
+    return p;
+  }();
+  return predictor;
+}
+
+void BM_GbtTextRoundTrip(benchmark::State& state) {
+  const auto& predictor = paper_predictor();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = predictor.serialize_text();
+    bytes += static_cast<std::int64_t>(text.size());
+    benchmark::DoNotOptimize(core::CrossArchPredictor::from_text(text).trained());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_GbtTextRoundTrip)->Unit(benchmark::kMillisecond);
 
 // The serve hot path: one row through the thread-local-scratch overload,
 // asserting the steady state allocates nothing.

@@ -36,6 +36,10 @@ namespace mphpc {
 /// Parses a non-negative integer; throws mphpc::ParseError on failure.
 [[nodiscard]] long long parse_int(std::string_view s);
 
+/// parse_int into an int: a value outside int's range throws
+/// mphpc::ParseError instead of wrapping.
+[[nodiscard]] int parse_int32(std::string_view s);
+
 /// FNV-1a 64-bit hash of a byte string — a content checksum for cache
 /// manifests (not cryptographic: detects corruption and staleness, not
 /// adversaries).

@@ -154,8 +154,9 @@ constexpr std::string_view kSectionMarker = "=== model ===";
 std::string CrossArchPredictor::serialize_text() const {
   MPHPC_EXPECTS(trained());
   std::string text = pipeline_.serialize();
-  text += std::string(kSectionMarker) + "\n";
-  text += model_.serialize();
+  text += kSectionMarker;
+  text += '\n';
+  model_.serialize_to(text);
   return text;
 }
 

@@ -12,9 +12,11 @@
 // most max_bins quantile bins once per fit (ml/binning.hpp), accumulates
 // per-node gradient/hessian histograms, derives each split pair's larger
 // child by subtracting the smaller child's histogram from the parent's,
-// and sweeps bin boundaries instead of rows. The per-feature histogram
-// pass runs on the ThreadPool and is reduced in fixed feature order, so
-// fits are bit-identical at any thread count in both methods.
+// and sweeps bin boundaries instead of rows. A fit uses one level of
+// parallelism: a multi-output fit trains its outputs on the ThreadPool,
+// a single-output kHist fit spreads each tree's histogram pass over
+// features instead. Either way every floating-point sum keeps its order,
+// so fits are bit-identical at any thread count in both methods.
 //
 // Multi-output targets train one additive ensemble per output; feature
 // importances are the average split gain per feature, averaged over the
@@ -151,6 +153,12 @@ class GbtRegressor final : public Regressor {
 
   /// Text serialization (round-trippable; see serialize.hpp for files).
   [[nodiscard]] std::string serialize() const;
+  /// Appends exactly serialize()'s text to `out`, growing it once.
+  void serialize_to(std::string& out) const;
+  /// Parses serialize()'s text. Lines may carry surrounding whitespace
+  /// (including "\r\n" endings) and blank lines may sit between them;
+  /// anything else malformed, and a model that could index out of bounds
+  /// or loop, throws ParseError.
   [[nodiscard]] static GbtRegressor deserialize(std::string_view text);
 
  private:

@@ -48,11 +48,13 @@ run_lane() {
 run_lane dev
 
 # GBT fit smoke: both split-search methods must train end-to-end on the
-# paper-shaped dataset (catches fit regressions that unit-sized problems
-# miss; the tracked timings live in results/BENCH_gbt.json).
-echo "==== [dev] GBT fit smoke (exact + hist) ===="
+# paper-shaped dataset, and the paper-scale predictor must survive its
+# model-text round trip (catches fit and model I/O regressions that
+# unit-sized problems miss; the tracked timings live in
+# results/BENCH_gbt.json).
+echo "==== [dev] GBT fit smoke (exact + hist + text round trip) ===="
 ./build-dev/bench/bench_perf_micro \
-  --benchmark_filter='BM_GbtFit(Exact|Hist)/20$' \
+  --benchmark_filter='BM_GbtFit(Exact|Hist)/20$|BM_GbtTextRoundTrip' \
   --benchmark_min_time=0.01
 
 # Compiled-inference smoke: the batched engine must run the predict micro
