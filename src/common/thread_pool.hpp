@@ -55,10 +55,10 @@ class ThreadPool {
   /// wants per-chunk accumulators reduced in fixed order afterwards.
   /// Returns the number of chunks used.
   ///
-  /// Safe to call from inside a pool task (nested parallelism): while its
-  /// own chunks are outstanding the caller helps drain the shared queue
-  /// instead of blocking, so a worker that issues a nested parallel region
-  /// cannot deadlock behind occupied workers.
+  /// Safe to call from inside a pool task (nested parallelism): the caller
+  /// claims and runs chunks itself alongside the workers, so it only ever
+  /// waits for chunks already running and cannot deadlock behind occupied
+  /// workers. It never runs another caller's queued task.
   ///
   /// A body that throws (on any chunk, worker or caller) does not
   /// terminate the process: every chunk still runs to completion or
@@ -73,11 +73,6 @@ class ThreadPool {
 
  private:
   void worker_loop();
-
-  /// Pops and runs one queued task on the calling thread. Returns false if
-  /// the queue was empty. Used by waiting parallel_chunks callers to make
-  /// progress instead of blocking (nested-parallelism deadlock avoidance).
-  bool try_run_one_task();
 
   /// Runs `task`, capturing an escaping exception into first_exception_
   /// (first writer wins) instead of letting it unwind into the worker.
