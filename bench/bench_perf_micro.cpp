@@ -6,12 +6,17 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "arch/system_catalog.hpp"
+#include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dataset.hpp"
@@ -21,8 +26,12 @@
 #include "ml/random_forest.hpp"
 #include "sched/easy_scheduler.hpp"
 #include "sched/workload_gen.hpp"
+#include "serve/protocol.hpp"
+#include "serve/service.hpp"
+#include "sim/profiler.hpp"
 #include "sim/runner.hpp"
 #include "workload/app_catalog.hpp"
+#include "workload/input_config.hpp"
 
 // Global allocation counter so the serve-path benches can assert the
 // steady-state single-row predict is allocation-free (the hot request
@@ -388,6 +397,112 @@ void BM_ForestFitHist(benchmark::State& state) {
   forest_fit_method(state, ml::TreeMethod::kHist);
 }
 BENCHMARK(BM_ForestFitHist)->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------- serve request path ----
+// The two halves of a served request on the paper model: parsing a
+// predict line (the JSON shape perfbench's serve_mixed sends, ~830 bytes)
+// and ServeCore::handle_requests on a batch of parsed predicts, inline
+// (no pool), as the daemon's batcher calls it.
+
+/// A predict line for `p`, field for field what perfbench sends.
+std::string predict_line(const sim::RunProfile& p, std::size_t id) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("op", "predict");
+  w.field("id", "p" + std::to_string(id));
+  w.begin_object("profile");
+  w.field("app", p.app);
+  w.field("system", arch::to_string(p.system));
+  w.field("scale", workload::to_string(p.config.scale_class));
+  w.field("nodes", p.config.nodes);
+  w.field("ranks", p.config.ranks);
+  w.field("cores", p.config.cores);
+  w.field("gpus", p.config.gpus);
+  w.field("device", arch::to_string(p.device));
+  w.field("input_index", p.input_index);
+  w.field("input_scale", p.input_scale);
+  w.field("time_s", p.time_s);
+  w.begin_object("counters");
+  for (const arch::CounterKind kind : arch::kAllCounterKinds) {
+    w.field(arch::to_string(kind), sim::get(p.counters, kind));
+  }
+  w.end_object();
+  w.end_object();
+  w.end_object();
+  return w.str();
+}
+
+/// 64 predict lines over distinct apps, inputs and systems.
+const std::vector<std::string>& serve_lines() {
+  static const std::vector<std::string> lines = [] {
+    const sim::Profiler profiler(7);
+    std::vector<std::string> out;
+    for (const workload::AppSignature& sig : apps().all()) {
+      for (const auto& input : workload::make_inputs(sig, 1, 7)) {
+        for (const arch::SystemId sys : arch::kAllSystems) {
+          if (out.size() == 64) return out;
+          out.push_back(predict_line(
+              profiler.profile(sig, input, workload::ScaleClass::kOneNode,
+                               systems().get(sys)),
+              out.size()));
+        }
+      }
+    }
+    return out;
+  }();
+  return lines;
+}
+
+void BM_ServeParseRequest(benchmark::State& state) {
+  const std::string& line = serve_lines().front();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::parse_request(line).profile.counters.data());
+  }
+  state.counters["line_bytes"] = static_cast<double>(line.size());
+}
+BENCHMARK(BM_ServeParseRequest);
+
+/// A ServeCore serving the paper model from a scratch state directory,
+/// removed at exit.
+struct ServeFixture {
+  std::filesystem::path dir;
+  std::unique_ptr<serve::ServeCore> core;
+
+  ServeFixture() {
+    dir = std::filesystem::temp_directory_path() /
+          ("mphpc_bench_serve_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    serve::ServeOptions options;
+    options.state_dir = dir.string();
+    options.model_path = (dir / "model.txt").string();
+    options.refit_every = 0;
+    paper_predictor().save(options.model_path);
+    core = std::make_unique<serve::ServeCore>(options);
+  }
+  ~ServeFixture() {
+    core.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+
+  static ServeFixture& get() {
+    static ServeFixture f;
+    return f;
+  }
+};
+
+void BM_ServeHandleBatch(benchmark::State& state) {
+  serve::ServeCore& core = *ServeFixture::get().core;
+  std::vector<serve::Request> batch;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    batch.push_back(serve::parse_request(serve_lines()[static_cast<std::size_t>(i)]));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core.handle_requests(batch, nullptr).data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ServeHandleBatch)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------ assignment-path micro ----
 // One Model-based assign() per queued job against an empty cluster: the

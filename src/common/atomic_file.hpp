@@ -9,6 +9,7 @@
 // concurrent writers to *different* paths never collide.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -18,5 +19,10 @@ namespace mphpc {
 /// std::runtime_error on any I/O failure; on failure the destination is
 /// untouched and the temp file is cleaned up best-effort.
 void atomic_write_text(const std::string& path, std::string_view content);
+
+/// As above, with the file's content given as consecutive parts (e.g. a
+/// header and a large body), so the caller need not join them first.
+void atomic_write_text(const std::string& path,
+                       std::initializer_list<std::string_view> parts);
 
 }  // namespace mphpc

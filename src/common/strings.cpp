@@ -42,12 +42,6 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::string format_double(double v) {
   char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);

@@ -21,9 +21,6 @@ namespace mphpc {
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-/// Lower-cases ASCII characters.
-[[nodiscard]] std::string to_lower(std::string_view s);
-
 /// Formats a double with enough digits to round-trip exactly.
 [[nodiscard]] std::string format_double(double v);
 

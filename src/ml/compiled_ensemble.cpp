@@ -563,29 +563,59 @@ Matrix CompiledEnsemble::predict(const Matrix& x, ThreadPool* pool) const {
   return out;
 }
 
+// Eight trees walk in lock-step, as the tile kernel walks eight rows: one
+// tree's walk is a chain of dependent loads, so eight independent chains
+// keep the load ports busy where a single chain would wait on each step.
+// A group walks its deepest tree's step count (leaves self-loop, so the
+// shallower trees just sit on their leaves), and a short last group pads
+// its spare lanes with its first tree, walked but never added. Leaves are
+// added in tree order, so every sum is bit-identical to a tree-at-a-time
+// walk.
 template <typename Word>
 void CompiledEnsemble::walk_row(const Word* pool, const std::uint16_t* codes,
                                 std::span<double> out) const noexcept {
+  constexpr std::size_t kLanes = 8;
+  std::array<std::uint32_t, kLanes> local;
+  std::array<std::size_t, kLanes> origin;
+  // Walks trees [t, t + n) (n <= kLanes) to their leaves; leaf l lands at
+  // pool offset origin[l] + local[l].
+  const auto walk_group = [&](std::size_t t, std::size_t n) {
+    std::int32_t steps = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::size_t tree = l < n ? t + l : t;
+      origin[l] = static_cast<std::size_t>(roots_[tree]);
+      steps = std::max(steps, depth_[tree]);
+    }
+    local.fill(0);
+    for (std::int32_t s = 0; s < steps; ++s) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        local[l] = qstep(pool[origin[l] + local[l]], codes);
+      }
+    }
+  };
   if (kind_ == Kind::kGbt) {
     for (std::size_t k = 0; k < n_outputs_; ++k) {
       double acc = base_[k];
-      const auto t_begin = static_cast<std::size_t>(output_begin_[k]);
       const auto t_end = static_cast<std::size_t>(output_begin_[k + 1]);
-      for (std::size_t t = t_begin; t < t_end; ++t) {
-        const auto origin = static_cast<std::size_t>(roots_[t]);
-        acc += payload_[origin + qwalk(pool + origin, depth_[t], codes)];
+      for (auto t = static_cast<std::size_t>(output_begin_[k]); t < t_end;
+           t += kLanes) {
+        const std::size_t n = std::min(kLanes, t_end - t);
+        walk_group(t, n);
+        for (std::size_t l = 0; l < n; ++l) acc += payload_[origin[l] + local[l]];
       }
       out[k] = acc;
     }
     return;
   }
   std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const auto origin = static_cast<std::size_t>(roots_[t]);
-    const std::uint32_t leaf = qwalk(pool + origin, depth_[t], codes);
-    const double* v =
-        values_.data() + static_cast<std::size_t>(payload_[origin + leaf]);
-    for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
+  for (std::size_t t = 0; t < roots_.size(); t += kLanes) {
+    const std::size_t n = std::min(kLanes, roots_.size() - t);
+    walk_group(t, n);
+    for (std::size_t l = 0; l < n; ++l) {
+      const double* v = values_.data() +
+                        static_cast<std::size_t>(payload_[origin[l] + local[l]]);
+      for (std::size_t k = 0; k < value_width_; ++k) out[k] += v[k];
+    }
   }
   if (kind_ == Kind::kForestMean) {
     for (double& v : out) v /= n_trees_;

@@ -21,7 +21,7 @@ const JsonValue& require(const JsonValue& obj, std::string_view key) {
   return *v;
 }
 
-std::string get_string(const JsonValue& obj, std::string_view key) {
+const std::string& get_string(const JsonValue& obj, std::string_view key) {
   const JsonValue& v = require(obj, key);
   if (!v.is_string()) bad("field '" + std::string(key) + "' must be a string");
   return v.as_string();
@@ -72,7 +72,7 @@ sim::RunProfile parse_profile(const JsonValue& obj) {
   p.app = get_string(obj, "app");
   if (p.app.empty()) bad("profile.app must be non-empty");
 
-  const std::string system = get_string(obj, "system");
+  const std::string& system = get_string(obj, "system");
   const auto sys = arch::parse_system(system);
   if (!sys.has_value()) bad("unknown system '" + system + "'");
   p.system = *sys;
@@ -169,7 +169,7 @@ Request parse_request(std::string_view line) {
     req.id = id->as_string();
   }
 
-  const std::string op = get_string(root, "op");
+  const std::string& op = get_string(root, "op");
   if (op == "predict") {
     req.op = Op::kPredict;
   } else if (op == "feedback") {

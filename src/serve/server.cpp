@@ -113,12 +113,13 @@ void Server::retain_fd(int fd) {
   ++fd_refs_[fd];
 }
 
-void Server::release_fd(int fd) {
+void Server::release_fd(int fd, std::size_t count) {
   if (fd <= 2) return;
   const std::lock_guard lock(fd_mutex_);
   const auto it = fd_refs_.find(fd);
-  MPHPC_EXPECTS(it != fd_refs_.end() && it->second > 0);
-  if (--it->second > 0) return;
+  MPHPC_EXPECTS(count > 0 && it != fd_refs_.end() && it->second >= count);
+  it->second -= count;
+  if (it->second > 0) return;
   fd_refs_.erase(it);
   if (fd_dead_.erase(fd) > 0) ::close(fd);
 }
@@ -319,19 +320,26 @@ bool Server::read_connection(Connection& conn) {
   const ssize_t n = ::read(conn.fd, buf, sizeof buf);
   if (n == 0) return false;
   if (n < 0) return errno == EINTR || errno == EAGAIN;
+  // The bytes already buffered are one partial line, so the newline scan
+  // starts at the new ones. Lines are handed out as views into the
+  // buffer, and the consumed prefix is erased once per read.
+  std::size_t scan = conn.buffer.size();
   conn.buffer.append(buf, static_cast<std::size_t>(n));
-
+  std::size_t start = 0;
   std::size_t pos = 0;
-  while ((pos = conn.buffer.find('\n')) != std::string::npos) {
-    const std::string line = conn.buffer.substr(0, pos);
-    conn.buffer.erase(0, pos + 1);
+  while ((pos = conn.buffer.find('\n', scan)) != std::string::npos) {
+    const std::string_view line(conn.buffer.data() + start, pos - start);
+    start = scan = pos + 1;
     if (conn.discarding) {
       conn.discarding = false;  // the oversized line finally ended
       continue;
     }
     handle_input_line(conn.fd, line);
   }
-  if (conn.buffer.size() > kMaxLineBytes && !conn.discarding) {
+  conn.buffer.erase(0, start);
+  if (conn.discarding) {
+    conn.buffer.clear();  // more of the oversized line: drop it as it comes
+  } else if (conn.buffer.size() > kMaxLineBytes) {
     write_reply(conn.fd == 0 ? 1 : conn.fd,
                 error_reply("", "bad_request", "request line exceeds 1 MiB"));
     conn.buffer.clear();
@@ -407,29 +415,37 @@ void Server::batcher_loop() {
 
 void Server::serve_batch(std::vector<Pending>& batch) {
   const Clock::time_point now = Clock::now();
+  Outbox outbox;
   std::vector<Request> live;
   std::vector<std::size_t> live_index;
   bool saw_feedback = false;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Pending& p = batch[i];
+    Pending& p = batch[i];
     if (options_.deadline_ms > 0 &&
         now - p.arrival > std::chrono::milliseconds(options_.deadline_ms)) {
       core_.note_deadline_expired();
-      write_reply(p.fd, error_reply(p.request.id, "deadline_exceeded",
-                                    "request exceeded its serve deadline"));
-      release_fd(p.fd);
+      outbox.add(p.fd, error_reply(p.request.id, "deadline_exceeded",
+                                   "request exceeded its serve deadline"));
       continue;
     }
     if (p.request.op == Op::kFeedback) saw_feedback = true;
     live_index.push_back(i);
-    live.push_back(p.request);
+    live.push_back(std::move(p.request));
   }
   if (!live.empty()) {
-    const std::vector<std::string> replies = core_.handle_requests(live, &pool_);
+    // Inline: a batch is at most batch_max rows, which the compiled kernel
+    // serves in less CPU on this thread than a pool handoff costs. The
+    // pool is left to the refit.
+    const std::vector<std::string> replies = core_.handle_requests(live, nullptr);
     for (std::size_t k = 0; k < replies.size(); ++k) {
-      write_reply(batch[live_index[k]].fd, replies[k]);
+      outbox.add(batch[live_index[k]].fd, replies[k]);
     }
-    for (const std::size_t i : live_index) release_fd(batch[i].fd);
+  }
+  send(outbox);
+  // Every request of the batch got exactly one reply, so each fd drops
+  // one reference per reply it was sent.
+  for (const Outbox::Stream& stream : outbox.streams) {
+    release_fd(stream.fd, stream.replies);
   }
   if (saw_feedback && core_.refit_pending()) {
     {
@@ -477,25 +493,49 @@ void Server::refit_loop() {
   }
 }
 
-void Server::write_reply(int fd, std::string_view reply) {
-  std::string line(reply);
-  line += '\n';
-  const std::lock_guard lock(write_mutex_);
-  // Fault point: kShortWrite truncates the reply to half its bytes (a
-  // torn line the client's JSONL parser must reject), crash/hang model a
-  // worker dying with the reply in flight.
+void Server::Outbox::add(int fd, std::string_view reply) {
+  Stream* stream = nullptr;
+  for (Stream& s : streams) {
+    if (s.fd == fd) {
+      stream = &s;
+      break;
+    }
+  }
+  if (stream == nullptr) stream = &streams.emplace_back(Stream{fd, 0, {}});
+  ++stream->replies;
+  // Fault point, once per reply: kShortWrite truncates this reply's line
+  // to half its bytes (a torn line the client's JSONL parser must
+  // reject), crash/hang model a worker dying with the reply in flight.
   const FaultAction fault = FaultInjector::instance().at(FaultSite::kMidReply);
   FaultInjector::execute(fault);
-  if (fault == FaultAction::kShortWrite) line.resize(line.size() / 2);
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // client gone (EPIPE et al.) — drop the reply, not the daemon
-    }
-    off += static_cast<std::size_t>(n);
+  if (fault == FaultAction::kShortWrite) {
+    stream->bytes.append(reply.substr(0, (reply.size() + 1) / 2));
+    return;
   }
+  stream->bytes.append(reply);
+  stream->bytes += '\n';
+}
+
+void Server::send(const Outbox& outbox) {
+  const std::lock_guard lock(write_mutex_);
+  for (const Outbox::Stream& stream : outbox.streams) {
+    const std::string& bytes = stream.bytes;
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::write(stream.fd, bytes.data() + off, bytes.size() - off);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        break;  // client gone (EPIPE et al.) — drop its replies, not the daemon
+      }
+      off += static_cast<std::size_t>(n);
+    }
+  }
+}
+
+void Server::write_reply(int fd, std::string_view reply) {
+  Outbox outbox;
+  outbox.add(fd, reply);
+  send(outbox);
 }
 
 void Server::begin_drain(const char* why) {

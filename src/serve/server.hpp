@@ -4,10 +4,11 @@
 //   intake (main thread)   poll()s the shutdown latch's wake fd plus
 //                          stdin (stdio mode) or a Unix-domain listener
 //                          and its client connections; splits complete
-//                          JSONL lines, parses them, and either replies
-//                          immediately (parse error -> bad_request,
-//                          draining -> shutting_down) or enqueues the
-//                          request with its arrival time.
+//                          JSONL lines in place (views into the read
+//                          buffer, one erase per read), parses them, and
+//                          either replies immediately (parse error ->
+//                          bad_request, draining -> shutting_down) or
+//                          enqueues the request with its arrival time.
 //   queue (two lanes)      bounded; predict/stats ride the priority lane,
 //                          feedback the best-effort lane. At capacity the
 //                          OLDEST FEEDBACK is shed first (a lost label
@@ -18,13 +19,15 @@
 //                          without bound.
 //   batcher (one thread)   pops up to batch_max requests (predict lane
 //                          first), expires those whose deadline passed
-//                          (deadline_exceeded), serves the rest through
-//                          ServeCore (consecutive predicts share one
-//                          compiled batch inference), writes replies, and
-//                          kicks the refit thread when feedback has
-//                          accumulated.
+//                          (deadline_exceeded), serves the rest inline
+//                          through ServeCore (consecutive predicts share
+//                          one compiled batch inference on this thread),
+//                          writes each client fd's replies with one
+//                          write(), and kicks the refit thread when
+//                          feedback has accumulated.
 //   refit (one thread)     runs ServeCore::run_refit off the request
-//                          path; a refit failure is logged, never fatal.
+//                          path, on the thread pool (which serves refits
+//                          only); a refit failure is logged, never fatal.
 //                          With store_poll_s set it also wakes on a timer
 //                          and follows the shared store, which is how a
 //                          supervised worker converges on a sibling's
@@ -77,7 +80,7 @@ struct ServerOptions {
   std::size_t queue_cap = 1024;
   std::size_t batch_max = 64;
   int deadline_ms = 0;         ///< per-request serve deadline (0 = none)
-  std::size_t pool_threads = 0;  ///< inference pool size (0 = hardware)
+  std::size_t pool_threads = 0;  ///< refit pool size (0 = hardware)
 };
 
 /// A parsed request waiting to be served, with its reply destination.
@@ -158,7 +161,24 @@ class Server {
   bool read_connection(Connection& conn);  ///< false when closed/EOF
   void handle_input_line(int fd, std::string_view line);
   void enqueue(Pending pending);
-  void write_reply(int fd, std::string_view reply);
+
+  /// Replies gathered per client fd so each fd gets one write() per
+  /// batch. add() consults the kMidReply fault point once per reply, so
+  /// `short-write-mid-reply:N` tears exactly the Nth reply.
+  struct Outbox {
+    struct Stream {
+      int fd = -1;
+      std::size_t replies = 0;  ///< replies appended to `bytes`
+      std::string bytes;        ///< newline-terminated reply lines
+    };
+    std::vector<Stream> streams;  ///< one per fd, in first-reply order
+
+    void add(int fd, std::string_view reply);
+  };
+  /// Writes each stream under one hold of write_mutex_; the one write
+  /// path for batcher and intake replies alike.
+  void send(const Outbox& outbox);
+  void write_reply(int fd, std::string_view reply);  ///< a one-reply send
 
   void batcher_loop();
   void serve_batch(std::vector<Pending>& batch);
@@ -173,7 +193,7 @@ class Server {
   /// otherwise defers the close to the release_fd() that drops the last
   /// reference. stdio fds (<= 2) are borrowed, never closed.
   void retain_fd(int fd);
-  void release_fd(int fd);
+  void release_fd(int fd, std::size_t count = 1);  ///< drops `count` refs
   void retire_fd(int fd);
 
   ServeCore& core_;

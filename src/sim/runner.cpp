@@ -112,10 +112,10 @@ std::optional<std::vector<RunProfile>> parse_shard(const std::string& text,
       p.system = static_cast<arch::SystemId>(system);
       p.device = static_cast<arch::Device>(device);
       p.config.scale_class = static_cast<workload::ScaleClass>(scale);
-      p.config.nodes = static_cast<int>(parse_int(parts[5]));
-      p.config.ranks = static_cast<int>(parse_int(parts[6]));
-      p.config.cores = static_cast<int>(parse_int(parts[7]));
-      p.config.gpus = static_cast<int>(parse_int(parts[8]));
+      p.config.nodes = parse_int32(parts[5]);
+      p.config.ranks = parse_int32(parts[6]);
+      p.config.cores = parse_int32(parts[7]);
+      p.config.gpus = parse_int32(parts[8]);
       p.config.uses_gpu = parse_int(parts[9]) != 0;
       p.time_s = parse_double(parts[10]);
       p.model_time_s = parse_double(parts[11]);

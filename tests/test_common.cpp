@@ -277,8 +277,6 @@ TEST(Strings, StartsWith) {
   EXPECT_FALSE(starts_with("", "x"));
 }
 
-TEST(Strings, ToLower) { EXPECT_EQ(to_lower("QuArTz"), "quartz"); }
-
 TEST(Strings, FormatDoubleRoundTrips) {
   for (const double v : {1.0, -0.25, 3.141592653589793, 1e-30, 1e30}) {
     EXPECT_EQ(parse_double(format_double(v)), v);

@@ -1431,6 +1431,103 @@ TEST(CompiledParity, RowScratchReuseMatchesBatch) {
   }
 }
 
+// The single-row walk runs trees eight at a time in lock-step; a group
+// walks its deepest tree's step count and a short last group pads its
+// spare lanes. These cases give it tree counts that leave short groups
+// and trees of mixed depths (a lone leaf included), on both pool words.
+
+/// Longest root-to-leaf edge count of a node vector (root at 0).
+template <typename Node>
+int depth_of(const std::vector<Node>& nodes, std::size_t i = 0) {
+  const Node& node = nodes[i];
+  if (node.is_leaf()) return 0;
+  return 1 + std::max(depth_of(nodes, static_cast<std::size_t>(node.left)),
+                      depth_of(nodes, static_cast<std::size_t>(node.right)));
+}
+
+/// Model text of one GBT tree exactly `depth` deep: its leftmost branch
+/// runs to full depth, and every other branch stops early at random.
+/// Nodes are numbered breadth-first, so child links point forward.
+std::string random_tree_text(Rng& rng, std::size_t output, int depth, int n_feat) {
+  struct Pending {
+    int depth;
+    bool spine;
+  };
+  std::vector<Pending> nodes{{0, true}};
+  std::string body;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Pending node = nodes[i];
+    const bool leaf =
+        node.depth == depth || (!node.spine && rng.uniform() < 0.35);
+    if (leaf) {
+      body += "-1 0 -1 -1 " + format_double(rng.uniform(-0.15, 0.15)) + "\n";
+      continue;
+    }
+    const auto feature = static_cast<int>(rng.uniform() * n_feat);
+    const double threshold = -1.0 + 0.125 * std::floor(rng.uniform() * 17.0);
+    body += std::to_string(feature) + " " + format_double(threshold) + " " +
+            std::to_string(nodes.size()) + " " + std::to_string(nodes.size() + 1) +
+            " 0\n";
+    nodes.push_back({node.depth + 1, node.spine});
+    nodes.push_back({node.depth + 1, false});
+  }
+  return "tree " + std::to_string(output) + " " + std::to_string(nodes.size()) +
+         "\n" + body;
+}
+
+/// A GBT over `n_feat` features with 13, 11 and 3 trees on its three
+/// outputs (no output a multiple of eight), of every depth from 0 to 6.
+GbtRegressor ragged_gbt(int n_feat, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string zeros;
+  for (int f = 0; f < n_feat; ++f) zeros += " 0";
+  std::string text = "gbt 3 " + std::to_string(n_feat) +
+                     "\nmethod hist 64\nbase 0.5 -0.25 1.125\nimportance_gain" +
+                     zeros + "\nimportance_count" + zeros + "\n";
+  const std::size_t trees[] = {13, 11, 3};
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t t = 0; t < trees[k]; ++t) {
+      text += random_tree_text(rng, k, static_cast<int>((3 * t + k) % 7), n_feat);
+    }
+  }
+  return GbtRegressor::deserialize(text);
+}
+
+/// Rows of uniform values in [-1.5, 1.5), past the thresholds both ways.
+Matrix uniform_rows(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(rows, cols);
+  for (double& v : x.flat()) v = rng.uniform(-1.5, 1.5);
+  return x;
+}
+
+TEST(CompiledParity, LockStepRowWalkRaggedGbtNarrowAndWide) {
+  // 6 features take the narrow word; 300 take the wide one.
+  for (const int n_feat : {6, 300}) {
+    const GbtRegressor model = ragged_gbt(n_feat, 80 + static_cast<std::uint64_t>(n_feat));
+    std::set<int> depths;
+    for (std::size_t k = 0; k < model.n_outputs(); ++k) {
+      for (const GbtTree& tree : model.ensemble(k)) depths.insert(depth_of(tree.nodes));
+    }
+    EXPECT_EQ(depths, (std::set<int>{0, 1, 2, 3, 4, 5, 6}));
+    expect_compiled_parity(model,
+                           uniform_rows(120, static_cast<std::size_t>(n_feat), 90));
+  }
+}
+
+TEST(CompiledParity, LockStepRowWalkForest) {
+  const Problem p = make_problem(300, 0.3, 91);
+  ForestOptions options;
+  options.n_trees = 13;  // one full group of eight and a short one
+  options.method = TreeMethod::kHist;
+  RandomForest model(options);
+  model.fit(p.x, p.y);
+  std::set<int> depths;
+  for (const DecisionTree& tree : model.trees()) depths.insert(depth_of(tree.nodes()));
+  EXPECT_GE(depths.size(), 2u);
+  expect_compiled_parity(model, p.x);
+}
+
 // ---------------------------------------------- quantized bin-code parity ----
 //
 // Hist-trained models carry at most 255 cuts per feature, so they compile

@@ -3,26 +3,34 @@
 // service (refit/hot-swap, drift trip/recover, SIGKILL-and-restart).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "arch/system_catalog.hpp"
 #include "common/error.hpp"
+#include "common/json_writer.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dataset.hpp"
 #include "core/predictor.hpp"
 #include "serve/drift.hpp"
+#include "serve/fault_inject.hpp"
 #include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/protocol.hpp"
@@ -1059,6 +1067,299 @@ TEST(ServeCrashTest, SigkillMidRefitRestartsFromLastPersistedModel) {
       restarted.handle_request(predict_request(s.profiles[0], "after")));
   EXPECT_TRUE(reply.find("ok")->as_bool());
   EXPECT_FALSE(reply.find("fallback")->as_bool());
+}
+
+// --------------------------------------------------- socket daemon ----
+//
+// Server::run end to end: a daemon on a temporary Unix socket, driven by
+// real client connections. Replies are matched to requests by id.
+
+/// The wire form of a predict (times == nullptr) or feedback request.
+std::string request_line(const sim::RunProfile& p, const std::string& id,
+                         const core::SystemTimes* times = nullptr) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("op", times == nullptr ? "predict" : "feedback");
+  w.field("id", id);
+  w.begin_object("profile");
+  w.field("app", p.app);
+  w.field("system", arch::to_string(p.system));
+  w.field("scale", workload::to_string(p.config.scale_class));
+  w.field("nodes", p.config.nodes);
+  w.field("ranks", p.config.ranks);
+  w.field("cores", p.config.cores);
+  w.field("gpus", p.config.gpus);
+  w.field("device", arch::to_string(p.device));
+  w.field("input_index", p.input_index);
+  w.field("input_scale", p.input_scale);
+  w.field("time_s", p.time_s);
+  w.begin_object("counters");
+  for (const arch::CounterKind kind : arch::kAllCounterKinds) {
+    w.field(arch::to_string(kind), sim::get(p.counters, kind));
+  }
+  w.end_object();
+  w.end_object();
+  if (times != nullptr) {
+    w.begin_object("times");
+    for (const arch::SystemId sys : arch::kAllSystems) {
+      w.field(arch::to_string(sys), (*times)[static_cast<std::size_t>(sys)]);
+    }
+    w.end_object();
+  }
+  w.end_object();
+  return w.str() + "\n";
+}
+
+void send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
+/// Reads from `fd` until `count` newline-terminated lines have arrived or
+/// 20 s passed; returns the lines (without their newlines).
+std::vector<std::string> read_lines(int fd, std::size_t count) {
+  std::vector<std::string> lines;
+  std::string buffer;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (lines.size() < count && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char chunk[65536];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t pos = 0;
+    while ((pos = buffer.find('\n')) != std::string::npos) {
+      lines.push_back(buffer.substr(0, pos));
+      buffer.erase(0, pos + 1);
+    }
+  }
+  return lines;
+}
+
+/// True when nothing more arrives on `fd` within `ms` milliseconds.
+bool quiet_for(int fd, int ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, ms) == 0;
+}
+
+/// A Server listening on a fresh socket, run() on its own thread. The
+/// destructor shuts it down through the protocol and joins it.
+class SocketDaemon {
+ public:
+  explicit SocketDaemon(const std::string& tag)
+      : dir_(fresh_dir(tag)), core_(test_options(dir_)), server_(core_, [&] {
+          ServerOptions options;
+          options.socket_path = dir_ + "/d.sock";
+          options.pool_threads = 2;
+          return options;
+        }()) {
+    thread_ = std::thread([this] { exit_code_ = server_.run(); });
+  }
+  ~SocketDaemon() { (void)stop(); }
+  SocketDaemon(const SocketDaemon&) = delete;
+  SocketDaemon& operator=(const SocketDaemon&) = delete;
+
+  ServeCore& core() { return core_; }
+
+  /// A client connection; retries while the listener comes up.
+  [[nodiscard]] int connect() const {
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    const std::string path = dir_ + "/d.sock";
+    std::copy(path.begin(), path.end(), addr.sun_path);
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
+        return fd;
+      }
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+
+  /// Sends a shutdown request and joins the daemon; returns run()'s code.
+  int stop() {
+    if (thread_.joinable()) {
+      const int fd = connect();
+      if (fd >= 0) {
+        send_all(fd, "{\"op\":\"shutdown\",\"id\":\"bye\"}\n");
+        (void)read_lines(fd, 1);
+        ::close(fd);
+      }
+      thread_.join();
+    }
+    return exit_code_;
+  }
+
+ private:
+  std::string dir_;
+  ServeCore core_;
+  Server server_;
+  std::thread thread_;
+  int exit_code_ = -1;
+};
+
+/// Counts replies per id, checking each parses and is ok.
+std::map<std::string, int> ok_replies_by_id(const std::vector<std::string>& lines) {
+  std::map<std::string, int> seen;
+  for (const std::string& line : lines) {
+    const JsonValue v = JsonValue::parse(line);
+    EXPECT_TRUE(v.find("ok")->as_bool()) << line;
+    ++seen[v.find("id")->as_string()];
+  }
+  return seen;
+}
+
+/// Every request the socket tests send leaves the injector as it was.
+struct ServeSocketTest : ::testing::Test {
+  void TearDown() override { FaultInjector::instance().disarm(); }
+};
+
+TEST_F(ServeSocketTest, PipelinedAndSplitLinesAreEachAnsweredOnce) {
+  const auto& s = shared_state();
+  SocketDaemon daemon("sock_pipe");
+  const int fd = daemon.connect();
+  ASSERT_GE(fd, 0);
+
+  std::string burst;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const sim::RunProfile& p = s.profiles[i % s.profiles.size()];
+    const core::SystemTimes times = consistent_times(s.predictor, p);
+    burst += request_line(p, "r" + std::to_string(i), i % 16 == 15 ? &times : nullptr);
+  }
+  send_all(fd, burst);
+  // One more line, split across two sends.
+  const std::string split = request_line(s.profiles[0], "split");
+  send_all(fd, split.substr(0, split.size() / 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  send_all(fd, split.substr(split.size() / 2));
+
+  const std::map<std::string, int> seen = ok_replies_by_id(read_lines(fd, 201));
+  ASSERT_EQ(seen.size(), 201u);
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(seen.count("r" + std::to_string(i)), 1u) << i;
+  }
+  EXPECT_EQ(seen.count("split"), 1u);
+  for (const auto& [id, n] : seen) EXPECT_EQ(n, 1) << id;
+  EXPECT_TRUE(quiet_for(fd, 100));
+  ::close(fd);
+  EXPECT_EQ(daemon.stop(), 0);
+}
+
+TEST_F(ServeSocketTest, OversizedLineGetsOneBadRequestThenServingResumes) {
+  SocketDaemon daemon("sock_big");
+  const int fd = daemon.connect();
+  ASSERT_GE(fd, 0);
+  send_all(fd, std::string((3U << 20U) / 2, 'x') + "\n");
+  send_all(fd, request_line(shared_state().profiles[0], "after"));
+
+  const std::vector<std::string> lines = read_lines(fd, 2);
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue rejected = JsonValue::parse(lines[0]);
+  EXPECT_FALSE(rejected.find("ok")->as_bool());
+  EXPECT_EQ(rejected.find("code")->as_string(), "bad_request");
+  EXPECT_EQ(rejected.find("error")->as_string(), "request line exceeds 1 MiB");
+  const JsonValue served = JsonValue::parse(lines[1]);
+  EXPECT_TRUE(served.find("ok")->as_bool());
+  EXPECT_EQ(served.find("id")->as_string(), "after");
+  EXPECT_TRUE(quiet_for(fd, 100));  // the line's tail drew no second reply
+  ::close(fd);
+}
+
+TEST_F(ServeSocketTest, InterleavedConnectionsGetOnlyTheirOwnReplies) {
+  const auto& s = shared_state();
+  SocketDaemon daemon("sock_two");
+  const int a = daemon.connect();
+  const int b = daemon.connect();
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  for (std::size_t i = 0; i < 50; ++i) {
+    const sim::RunProfile& p = s.profiles[i % s.profiles.size()];
+    send_all(a, request_line(p, "a" + std::to_string(i)));
+    send_all(b, request_line(p, "b" + std::to_string(i)));
+  }
+  for (const auto& [fd, prefix] : {std::pair{a, 'a'}, std::pair{b, 'b'}}) {
+    const std::map<std::string, int> seen = ok_replies_by_id(read_lines(fd, 50));
+    EXPECT_EQ(seen.size(), 50u) << prefix;
+    for (const auto& [id, n] : seen) {
+      EXPECT_EQ(id.front(), prefix) << id;
+      EXPECT_EQ(n, 1) << id;
+    }
+  }
+  ::close(a);
+  ::close(b);
+}
+
+TEST_F(ServeSocketTest, ShortWriteFaultTearsExactlyTheNthReply) {
+  const auto& s = shared_state();
+  SocketDaemon daemon("sock_torn");
+  const int fd = daemon.connect();
+  ASSERT_GE(fd, 0);
+  // Predict replies are a pure function of the request, so the expected
+  // bytes can be computed beside the daemon.
+  std::string burst;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Request req = predict_request(s.profiles[i % s.profiles.size()],
+                                        "t" + std::to_string(i));
+    burst += request_line(req.profile, req.id);
+    expected.push_back(daemon.core().handle_request(req));
+  }
+  FaultInjector::instance().arm("short-write-mid-reply:3");
+  send_all(fd, burst);
+
+  // The torn third reply lost its newline, so it runs into the fourth.
+  const std::vector<std::string> lines = read_lines(fd, 7);
+  ASSERT_EQ(lines.size(), 7u);
+  const std::string torn = expected[2].substr(0, (expected[2].size() + 1) / 2);
+  EXPECT_EQ(lines[0], expected[0]);
+  EXPECT_EQ(lines[1], expected[1]);
+  EXPECT_EQ(lines[2], torn + expected[3]);
+  EXPECT_THROW((void)JsonValue::parse(lines[2]), ParseError);
+  for (std::size_t i = 3; i < 7; ++i) EXPECT_EQ(lines[i], expected[i + 1]) << i;
+  EXPECT_EQ(FaultInjector::instance().hits(FaultSite::kMidReply), 8);
+  ::close(fd);
+}
+
+TEST_F(ServeSocketTest, ClientClosingWithQueuedRepliesLeavesOthersUntouched) {
+  const auto& s = shared_state();
+  SocketDaemon daemon("sock_gone");
+  const int gone = daemon.connect();
+  ASSERT_GE(gone, 0);
+  std::string burst;
+  for (std::size_t i = 0; i < 300; ++i) {
+    burst += request_line(s.profiles[i % s.profiles.size()], "gone" + std::to_string(i));
+  }
+  send_all(gone, burst);
+  ::close(gone);  // with its replies still queued
+
+  // A new client may get the closed client's fd number once the daemon
+  // closes it; it must receive its own replies and nothing else.
+  const int next = daemon.connect();
+  ASSERT_GE(next, 0);
+  std::string mine;
+  for (std::size_t i = 0; i < 50; ++i) {
+    mine += request_line(s.profiles[i % s.profiles.size()], "next" + std::to_string(i));
+  }
+  send_all(next, mine);
+  const std::map<std::string, int> seen = ok_replies_by_id(read_lines(next, 50));
+  EXPECT_EQ(seen.size(), 50u);
+  for (const auto& [id, n] : seen) {
+    EXPECT_EQ(id.rfind("next", 0), 0u) << id;
+    EXPECT_EQ(n, 1) << id;
+  }
+  send_all(next, "{\"op\":\"stats\",\"id\":\"alive\"}\n");
+  const std::vector<std::string> stats = read_lines(next, 1);
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(JsonValue::parse(stats[0]).find("id")->as_string(), "alive");
+  EXPECT_TRUE(quiet_for(next, 100));
+  ::close(next);
+  EXPECT_EQ(daemon.stop(), 0);
 }
 
 // -------------------------------------------------- concurrency stress ----

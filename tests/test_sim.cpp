@@ -466,6 +466,65 @@ TEST_F(CampaignCheckpointTest, SecondRunActuallyReadsShards) {
   EXPECT_TRUE(saw_patched);  // the cache, not the profiler, produced this
 }
 
+TEST_F(CampaignCheckpointTest, OutOfIntRangeResourceFieldIsReProfiled) {
+  // A nodes field of 2^32 + 1 must not wrap to 1 node on the way into an
+  // int: the shard fails to parse and is re-profiled. The patched profile
+  // runs on more than one node, so a wrapped value would differ from it.
+  // As in SecondRunActuallyReadsShards, the manifest keeps only its
+  // header, so the shard is not rejected by its recorded hash first.
+  const AppCatalog apps;
+  const SystemCatalog systems;
+  CampaignOptions options;
+  options.inputs_per_app = 1;
+  options.checkpoint_dir = dir_.string();
+  const auto first = run_campaign(apps, systems, options);
+
+  bool patched = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (patched || entry.path().extension() != ".shard") continue;
+    std::vector<std::string> lines;
+    {
+      std::ifstream in(entry.path());
+      std::string line;
+      while (std::getline(in, line)) lines.push_back(line);
+    }
+    for (auto& line : lines) {
+      if (line.rfind("p ", 0) != 0) continue;
+      std::istringstream ss(line);
+      std::vector<std::string> tokens;
+      std::string tok;
+      while (ss >> tok) tokens.push_back(tok);
+      ASSERT_GE(tokens.size(), 9u);
+      if (tokens[5] == "1") continue;  // a wrap to 1 would go unseen
+      tokens[5] = "4294967297";          // nodes
+      line.clear();
+      for (std::size_t t = 0; t < tokens.size(); ++t) {
+        line += (t == 0 ? "" : " ") + tokens[t];
+      }
+      patched = true;
+      break;
+    }
+    if (!patched) continue;
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    std::ofstream out(entry.path());
+    out << text;
+  }
+  ASSERT_TRUE(patched) << "no cached profile runs on more than one node";
+  {
+    std::ifstream in(dir_ / "manifest.txt");
+    std::string line;
+    std::string header;
+    for (int n = 0; n < 3 && std::getline(in, line); ++n) header += line + "\n";
+    in.close();
+    std::ofstream out(dir_ / "manifest.txt");
+    out << header;
+  }
+
+  const auto second = run_campaign(apps, systems, options);
+  expect_profiles_identical(first, second);
+}
+
 TEST_F(CampaignCheckpointTest, HashMismatchedShardIsReProfiled) {
   // A shard whose content no longer matches the hash recorded in the
   // manifest must be re-profiled, even though it still parses cleanly.

@@ -58,7 +58,9 @@ echo "==== [dev] GBT fit smoke (exact + hist + text round trip) ===="
   --benchmark_min_time=0.01
 
 # Compiled-inference smoke: the batched engine must run the predict micro
-# benchmarks end-to-end for every tree model plus the scheduler-assign
+# benchmarks end-to-end for every tree model, the serve request path
+# (parsing a predict line, and handle_requests on 1 and 64 parsed
+# predicts inline on the paper model) and the scheduler-assign
 # memoization micro (tracked timings live in results/BENCH_predict.json),
 # and the compiled GBT kernel must hold a >= 4x speedup over the reference
 # walker. The bin-code engine runs ~6.7x on the dev build (4-core
@@ -72,7 +74,7 @@ echo "==== [dev] GBT fit smoke (exact + hist + text round trip) ===="
 # of replaying the calls in bulk makes them ~6x).
 echo "==== [dev] compiled predict smoke (gbt + forest) + backfill smoke ===="
 ./build-dev/bench/bench_perf_micro \
-  --benchmark_filter='BM_(Gbt|Forest)Predict(Ref|Compiled)/4096$|BM_AssignModelBased|BM_SimulateBackfill/' \
+  --benchmark_filter='BM_(Gbt|Forest)Predict(Ref|Compiled)/4096$|BM_ServeParseRequest|BM_ServeHandleBatch/(1|64)$|BM_AssignModelBased|BM_SimulateBackfill/' \
   --benchmark_min_time=0.1 \
   --benchmark_out=build-dev/predict_smoke.json --benchmark_out_format=json
 python3 - <<'EOF'
@@ -83,6 +85,9 @@ ratio = runs["BM_GbtPredictRef/4096"] / runs["BM_GbtPredictCompiled/4096"]
 assert ratio >= 4.0, \
     f"compiled GBT predict only {ratio:.2f}x faster than reference (want >= 4x)"
 print(f"predict smoke: ok (compiled GBT {ratio:.2f}x faster than reference)")
+print("serve path: parse {:.1f} us, handle 1 {:.1f} us, handle 64 {:.1f} us/row".format(
+    runs["BM_ServeParseRequest"] / 1e3, runs["BM_ServeHandleBatch/1"],
+    runs["BM_ServeHandleBatch/64"] / 64))
 model = runs["BM_SimulateBackfill/model"]
 ratios = {}
 for key, label in (("rr", "Round-Robin"), ("random", "Random"), ("user_rr", "User+RR")):
