@@ -576,12 +576,14 @@ void BM_SchedulerSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSimulate)->Arg(5000)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-// EASY backfill under four Fig. 7/8 strategies. Round-Robin blocks its
-// head on the head's own full machine while the other machines keep free
-// nodes, so it only stays within a small factor of Model-based when
+// EASY backfill under the five Fig. 7/8 strategies. Round-Robin blocks
+// its head on the head's own full machine while the other machines keep
+// free nodes, so it only stays within a small factor of Model-based when
 // backfill is bounded by its target machine's free nodes rather than by
-// the cluster-wide free maximum. Random and User+RR take the stateful
-// full scan; they stay close to Model-based only while candidates in a
+// the cluster-wide free maximum. Round-Robin, Model-based and Oracle step
+// over candidates that cannot end before the head's shadow time without
+// assigning them. Random and User+RR take the stateful full scan; they
+// stay within a bounded factor of Model-based only while candidates in a
 // lane that cannot start are skipped in bulk instead of assigned.
 template <typename MakeAssigner>
 void BM_SimulateBackfill(benchmark::State& state, MakeAssigner make_assigner) {
@@ -601,6 +603,8 @@ BENCHMARK_CAPTURE(BM_SimulateBackfill, user_rr,
                   [] { return sched::UserRoundRobinAssigner(); })
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulateBackfill, model, [] { return sched::ModelBasedAssigner(); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulateBackfill, oracle, [] { return sched::OracleAssigner(); })
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -84,22 +84,20 @@ JobOrderCache::State JobOrderCache::lookup(const Job& job,
 }
 
 int MachineAssigner::startable_width(std::size_t /*started_index*/,
-                                     const ClusterView& view,
-                                     std::size_t lane) const {
+                                     const ClusterView& view, std::size_t lane,
+                                     arch::SystemId machine) const {
   MPHPC_EXPECTS(lane < kAssignLanes);
-  int widest = 0;
-  for (const Machine& m : view.machines()) {
-    widest = std::max(widest, view.free_nodes(m.id));
-  }
-  return widest;
+  return view.free_nodes(machine);
 }
 
 int RoundRobinAssigner::startable_width(std::size_t started_index,
                                         const ClusterView& view,
-                                        std::size_t /*lane*/) const {
+                                        std::size_t /*lane*/,
+                                        arch::SystemId machine) const {
   const auto& machines = view.machines();
   MPHPC_EXPECTS(!machines.empty());
-  return view.free_nodes(machines[started_index % machines.size()].id);
+  const arch::SystemId target = machines[started_index % machines.size()].id;
+  return machine == target ? view.free_nodes(machine) : 0;
 }
 
 arch::SystemId RoundRobinAssigner::assign(const Job& /*job*/, std::size_t started_index,
@@ -129,11 +127,11 @@ arch::SystemId UserRoundRobinAssigner::assign(const Job& job,
 }
 
 int UserRoundRobinAssigner::startable_width(std::size_t /*started_index*/,
-                                            const ClusterView& view,
-                                            std::size_t lane) const {
+                                            const ClusterView& view, std::size_t lane,
+                                            arch::SystemId machine) const {
   MPHPC_EXPECTS(lane < kAssignLanes);
   const auto& systems = lane == kGpuLane ? kGpuSystems : kCpuSystems;
-  return std::max(view.free_nodes(systems[0]), view.free_nodes(systems[1]));
+  return machine == systems[0] || machine == systems[1] ? view.free_nodes(machine) : 0;
 }
 
 bool UserRoundRobinAssigner::skip_rejected(const LaneCounts& rejected) {

@@ -46,10 +46,11 @@ class MachineAssigner {
   /// True when, for the job set passed to the latest prime(), assign() is
   /// a pure function of (job, started_index, view) — no internal state
   /// advances per call. The engine's indexed backfill path may then skip
-  /// candidates wider than startable_width() without calling assign() on
-  /// them. A stateful assigner (Random's RNG, User+RR's rotation) must
-  /// see every candidate's call, or have it replayed by skip_rejected(),
-  /// so its state advances identically to a full scan. Default: stateful.
+  /// candidates that startable_width() shows cannot start without calling
+  /// assign() on them. A stateful assigner (Random's RNG, User+RR's
+  /// rotation) must see every candidate's call, or have it replayed by
+  /// skip_rejected(), so its state advances identically to a full scan.
+  /// Default: stateful.
   [[nodiscard]] virtual bool stateless_assign() const noexcept {
     return false;
   }
@@ -66,19 +67,25 @@ class MachineAssigner {
   }
 
   /// Widest job of `lane` that assign(job, started_index, view) could
-  /// place on a machine with room for it right now; every wider job of
-  /// that lane would be assigned and rejected. Backfill uses it to pass
-  /// candidates by without calling assign(), so an override may be tight
-  /// but must never under-report. The bound may change only when a job
-  /// starts (started_index or the view changes). The indexed pass of a
-  /// stateless assigner takes the widest bound over the queued lanes; the
-  /// full scan of an assigner whose skip_rejected() replays calls takes
-  /// each lane's own bound, and there it must not grow while free nodes
-  /// only shrink. Default: the widest free pool in the cluster, which
-  /// holds for any assigner and lane.
+  /// place on `machine` with room for it right now; a wider job of that
+  /// lane is never sent there with room, and 0 says no job of the lane
+  /// starts there. Backfill uses it to pass candidates by without calling
+  /// assign(), so an override may be tight but must never under-report.
+  /// The bound may change only when a job starts (started_index or the
+  /// view changes). A lane's bound is the widest over the machines:
+  ///  - the indexed pass of a stateless assigner skips every class wider
+  ///    than the widest bound of any queued lane, and steps over a
+  ///    candidate that only the head's reserved machine can take, with
+  ///    too few nodes spare at the head's shadow time, when it cannot end
+  ///    by then;
+  ///  - the full scan of an assigner whose skip_rejected() replays calls
+  ///    takes each lane's own bound, which there must not grow while free
+  ///    nodes only shrink.
+  /// Default: the machine's free nodes, which holds for any assigner and
+  /// lane.
   [[nodiscard]] virtual int startable_width(std::size_t started_index,
-                                            const ClusterView& view,
-                                            std::size_t lane) const;
+                                            const ClusterView& view, std::size_t lane,
+                                            arch::SystemId machine) const;
 
   /// Advances the internal state exactly as `rejected[l]` assign() calls
   /// on jobs of lane l would when each returns a machine without room for
@@ -136,11 +143,12 @@ class RoundRobinAssigner final : public MachineAssigner {
   [[nodiscard]] arch::SystemId assign(const Job& job, std::size_t started_index,
                                       const ClusterView& view) override;
   [[nodiscard]] bool stateless_assign() const noexcept override { return true; }
-  /// assign() ignores the job, so only jobs that fit the free nodes of
-  /// this start's target machine can start, whatever the other machines
-  /// have free. Every job is in lane 0, so the lane is ignored.
+  /// assign() ignores the job and sends it to this start's target
+  /// machine: the target's free nodes there, 0 on every other machine.
+  /// Every job is in lane 0, so the lane is ignored.
   [[nodiscard]] int startable_width(std::size_t started_index, const ClusterView& view,
-                                    std::size_t lane) const override;
+                                    std::size_t lane,
+                                    arch::SystemId machine) const override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 };
 
@@ -172,10 +180,11 @@ class UserRoundRobinAssigner final : public MachineAssigner {
   [[nodiscard]] std::size_t lane(const Job& job) const noexcept override {
     return job.gpu_capable ? kGpuLane : kCpuLane;
   }
-  /// A lane's jobs only go to its two machines, so only jobs that fit
-  /// the wider of their free pools can start.
+  /// A lane's jobs only go to its two machines: their free nodes there,
+  /// 0 on the other lane's machines.
   [[nodiscard]] int startable_width(std::size_t started_index, const ClusterView& view,
-                                    std::size_t lane) const override;
+                                    std::size_t lane,
+                                    arch::SystemId machine) const override;
   [[nodiscard]] bool skip_rejected(const LaneCounts& rejected) override;
   [[nodiscard]] std::string name() const override { return "User+RR"; }
 

@@ -797,7 +797,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   /// Re-reads every lane's startable width after a start.
   void refresh_lane_bounds(LaneScan& lanes) const {
     for (std::size_t l = 0; l < kAssignLanes; ++l) {
-      const int bound = assigner_.startable_width(started_count_, view_, l);
+      const int bound = lane_width(l);
       // A bound that grew could revive a doomed lane after some of its
       // calls were counted, and replaying them late would reorder them.
       MPHPC_ASSERT(bound <= lanes.bound[l]);
@@ -830,14 +830,33 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     }
   }
 
-  /// Indexed-pass bound: the widest startable job of any queued lane.
-  [[nodiscard]] int widest_startable() const {
+  /// Widest job of `lane` the assigner could start on any machine.
+  [[nodiscard]] int lane_width(std::size_t lane) const {
     int widest = 0;
-    for (std::size_t l = 0; l < kAssignLanes; ++l) {
-      if (queue_.lane_sizes()[l] == 0) continue;
-      widest = std::max(widest, assigner_.startable_width(started_count_, view_, l));
+    for (const Machine& x : view_.machines()) {
+      widest = std::max(widest,
+                        assigner_.startable_width(started_count_, view_, lane, x.id));
     }
     return widest;
+  }
+
+  /// Startable widths of the indexed pass, over the queued lanes.
+  struct StartableWidths {
+    int any = 0;    ///< widest job startable on some machine
+    int other = 0;  ///< widest job startable on a machine other than the head's
+  };
+
+  [[nodiscard]] StartableWidths startable_widths(arch::SystemId head_machine) const {
+    StartableWidths r;
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      if (queue_.lane_sizes()[l] == 0) continue;
+      for (const Machine& x : view_.machines()) {
+        const int w = assigner_.startable_width(started_count_, view_, l, x.id);
+        r.any = std::max(r.any, w);
+        if (x.id != head_machine) r.other = std::max(r.other, w);
+      }
+    }
+    return r;
   }
 
   /// Indexed pass: merges the per-width sublists by FCFS sequence number,
@@ -850,10 +869,21 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   /// machine rotates), so each class keeps its cursor for the whole pass
   /// and, once eligible again, catches up past the last visited sequence
   /// number: visits stay in strict FCFS order and never revisit a job.
-  /// Only examined candidates are assigned; cursor steps over skipped
-  /// ones cost at most O(queue length) per pass.
+  ///
+  /// Shadow window: a class wider than every other machine's startable
+  /// width and than the nodes spare at the head's shadow time can start
+  /// only on the head's machine m, and only a job with
+  /// now + runtime[m] <= shadow_time. That test depends on the pass
+  /// alone, so a class's `hit` cursor steps over the failing jobs once per
+  /// pass without an assign() call or a merge step. Which classes are in
+  /// the window depends on the state and changes on every start (a
+  /// rotating target can free them), so `at` never passes an unvisited
+  /// job: a class leaving the window resumes at the first sequence number
+  /// above `last`. The merge's visits stay the same, only cheaper: every
+  /// job stepped over before the next visited candidate counts toward the
+  /// backfill depth exactly where the merge would have visited it.
   void schedule_pass_indexed(double now) {
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+    constexpr std::size_t kNull = FcfsQueue::kNull;
     while (!queue_.empty()) {
       const std::size_t head = queue_.front();
       const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
@@ -867,50 +897,81 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
       const auto [shadow_time, projected_free] =
           state_[mi].earliest_fit(now, jobs_[head].nodes_required);
       int shadow_spare = projected_free - jobs_[head].nodes_required;
+      const auto ends_late = [&](std::size_t j) {
+        return now + jobs_[j].runtime[mi] > shadow_time;
+      };
 
       // The bound changes only when a job starts, so a zero bound means
       // nothing can start for the rest of the pass.
-      int bound = widest_startable();
-      if (bound <= 0) break;
+      StartableWidths bound = startable_widths(m);
+      if (bound.any <= 0) break;
+      // Classes wider than `open` are in the shadow window.
+      int open = std::max(bound.other, shadow_spare);
 
       // One cursor per size class. The head has the lowest live sequence
       // number, so starting `last` at it makes the catch-up skip it too.
       cursors_.clear();
       for (std::size_t c = 0; c < queue_.num_classes(); ++c) {
         const std::size_t at = queue_.class_head(c);
-        if (at != FcfsQueue::kNull) cursors_.push_back({c, at});
+        if (at != kNull) cursors_.push_back({c, at, at, 0});
       }
       std::uint64_t last = queue_.seq(head);
 
-      int scanned = 0;
-      while (scanned < depth_limit_) {
+      long long scanned = 0;
+      while (true) {
         // Lowest-sequence candidate among the classes the bound admits;
         // exhausted cursors are dropped for good.
-        std::size_t best = kNone;
+        std::size_t best = 0;
+        std::size_t cand = kNull;
         for (std::size_t k = 0; k < cursors_.size();) {
           Cursor& cur = cursors_[k];
-          if (queue_.class_width(cur.cls) > bound) {
+          const int width = queue_.class_width(cur.cls);
+          if (width > bound.any) {
             ++k;
             continue;
           }
-          while (cur.at != FcfsQueue::kNull && queue_.seq(cur.at) <= last) {
-            cur.at = queue_.wnext(cur.at);
-          }
-          if (cur.at == FcfsQueue::kNull) {
+          while (cur.at != kNull && queue_.seq(cur.at) <= last) cur.step(queue_);
+          if (cur.at == kNull) {
             cur = cursors_.back();
             cursors_.pop_back();
             continue;
           }
-          if (best == kNone || queue_.seq(cur.at) < queue_.seq(cursors_[best].at)) {
+          std::size_t next = cur.at;
+          if (width > open) {
+            // A job behind `remaining` late jobs of its own class lies
+            // past the depth budget, so the walk stops there.
+            const long long remaining = depth_limit_ - scanned;
+            while (cur.hit != kNull && cur.gap < remaining && ends_late(cur.hit)) {
+              cur.hit = queue_.wnext(cur.hit);
+              ++cur.gap;
+            }
+            next = cur.gap < remaining ? cur.hit : kNull;
+          }
+          if (next != kNull && (cand == kNull || queue_.seq(next) < queue_.seq(cand))) {
             best = k;
+            cand = next;
           }
           ++k;
         }
-        if (best == kNone) break;
-        const std::size_t cand = cursors_[best].at;
-        last = queue_.seq(cand);
-        cursors_[best].at = queue_.wnext(cand);
-        ++scanned;
+        if (cand == kNull) break;
+
+        // Window jobs ahead of `cand` are visits that could only be
+        // rejected; each spends one unit of the depth budget.
+        const std::uint64_t cand_seq = queue_.seq(cand);
+        long long passed = 0;
+        for (Cursor& cur : cursors_) {
+          const int width = queue_.class_width(cur.cls);
+          if (width > bound.any || width <= open) continue;
+          while (cur.at != kNull && queue_.seq(cur.at) < cand_seq &&
+                 scanned + passed < depth_limit_) {
+            cur.step(queue_);
+            ++passed;
+          }
+        }
+        if (scanned + passed >= depth_limit_) break;
+        scanned += passed + 1;
+        last = cand_seq;
+        cursors_[best].step(queue_);  // its `at` is `cand`
 
         const Job& job = jobs_[cand];
         const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
@@ -932,8 +993,9 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (!started) continue;
         start_job(cand, cm, now);
         queue_.erase(cand);
-        bound = widest_startable();
-        if (bound <= 0) break;
+        bound = startable_widths(m);
+        if (bound.any <= 0) break;
+        open = std::max(bound.other, shadow_spare);
       }
       break;  // head stays blocked until the next event
     }
@@ -941,7 +1003,19 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
   struct Cursor {
     std::size_t cls = 0;
-    std::size_t at = 0;
+    std::size_t at = 0;   ///< no job of the class before it is left to visit
+    std::size_t hit = 0;  ///< at or after `at`; every job in [at, hit) ends late
+    long long gap = 0;    ///< jobs in [at, hit)
+
+    /// Moves `at` one job on, keeping `hit` at or after it.
+    void step(const FcfsQueue& queue) noexcept {
+      if (hit == at) {
+        hit = queue.wnext(at);
+      } else {
+        --gap;
+      }
+      at = queue.wnext(at);
+    }
   };
 
   FcfsQueue queue_;

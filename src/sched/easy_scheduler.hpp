@@ -52,7 +52,11 @@ struct SchedulerOptions {
   /// With a stateless assigner (MachineAssigner::stateless_assign) the
   /// calendar engine only examines — and only counts — candidates no
   /// wider than the assigner's startable width
-  /// (MachineAssigner::startable_width). Stateful assigners take the
+  /// (MachineAssigner::startable_width). Among those, a candidate that
+  /// only the head's reserved machine can take, and that cannot end by
+  /// the head's shadow time, is stepped over without an assign() call,
+  /// yet still counted where it would have been examined, so the depth
+  /// ends the pass at the same candidate. Stateful assigners take the
   /// full scan, which counts every candidate as the reference engine
   /// does; for one that replays rejected calls
   /// (MachineAssigner::skip_rejected), candidates of a lane that cannot

@@ -2,16 +2,22 @@
 // injection, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "arch/system_catalog.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "sched/assigners.hpp"
 #include "sched/checkpoint.hpp"
@@ -81,17 +87,32 @@ TEST(RoundRobinAssigner, CyclesThroughMachines) {
   EXPECT_EQ(assigner.assign(job, 4, view), SystemId::kQuartz);
 }
 
+/// A lane's startable width: the widest over the machines.
+int lane_width(const MachineAssigner& assigner, std::size_t started_index,
+               const ClusterView& view, std::size_t lane) {
+  int widest = 0;
+  for (const Machine& m : view.machines()) {
+    widest = std::max(widest, assigner.startable_width(started_index, view, lane, m.id));
+  }
+  return widest;
+}
+
 TEST(RoundRobinAssigner, StartableWidthIsTargetMachineFreeNodes) {
   const auto machines = tiny_cluster(8, 8, 8, 8);
   std::array<int, 4> free = {0, 5, 2, 7};
   const ClusterView view(machines, free);
   const RoundRobinAssigner assigner;
-  EXPECT_EQ(assigner.startable_width(0, view, 0), 0);  // quartz is full
-  EXPECT_EQ(assigner.startable_width(1, view, 0), 5);
-  EXPECT_EQ(assigner.startable_width(2, view, 0), 2);
-  EXPECT_EQ(assigner.startable_width(3, view, 0), 7);
-  EXPECT_EQ(assigner.startable_width(4, view, 0), 0);
-  EXPECT_EQ(assigner.startable_width(1, view, 1), 5);  // the lane is ignored
+  EXPECT_EQ(lane_width(assigner, 0, view, 0), 0);  // quartz is full
+  EXPECT_EQ(lane_width(assigner, 1, view, 0), 5);
+  EXPECT_EQ(lane_width(assigner, 2, view, 0), 2);
+  EXPECT_EQ(lane_width(assigner, 3, view, 0), 7);
+  EXPECT_EQ(lane_width(assigner, 4, view, 0), 0);
+  EXPECT_EQ(lane_width(assigner, 1, view, 1), 5);  // the lane is ignored
+  // Only the target machine takes a job: every other machine reads 0.
+  EXPECT_EQ(assigner.startable_width(1, view, 0, SystemId::kRuby), 5);
+  EXPECT_EQ(assigner.startable_width(1, view, 0, SystemId::kCorona), 0);
+  EXPECT_EQ(assigner.startable_width(3, view, 0, SystemId::kCorona), 7);
+  EXPECT_EQ(assigner.startable_width(3, view, 0, SystemId::kRuby), 0);
 }
 
 TEST(MachineAssigner, DefaultStartableWidthIsWidestFreePool) {
@@ -99,11 +120,15 @@ TEST(MachineAssigner, DefaultStartableWidthIsWidestFreePool) {
   std::array<int, 4> free = {0, 5, 2, 7};
   const ClusterView view(machines, free);
   const ModelBasedAssigner assigner;
-  EXPECT_EQ(assigner.startable_width(0, view, 0), 7);
-  EXPECT_EQ(assigner.startable_width(3, view, 0), 7);
-  EXPECT_EQ(assigner.startable_width(3, view, 1), 7);
+  EXPECT_EQ(lane_width(assigner, 0, view, 0), 7);
+  EXPECT_EQ(lane_width(assigner, 3, view, 0), 7);
+  EXPECT_EQ(lane_width(assigner, 3, view, 1), 7);
+  // Per machine, the default is that machine's free nodes.
+  EXPECT_EQ(assigner.startable_width(0, view, 0, SystemId::kQuartz), 0);
+  EXPECT_EQ(assigner.startable_width(0, view, 0, SystemId::kLassen), 2);
+  EXPECT_EQ(assigner.startable_width(5, view, 1, SystemId::kRuby), 5);
   free = {0, 0, 0, 0};
-  EXPECT_EQ(assigner.startable_width(1, view, 0), 0);
+  EXPECT_EQ(lane_width(assigner, 1, view, 0), 0);
 }
 
 TEST(MachineAssigner, DefaultHooksKeepOneLaneAndCannotSkip) {
@@ -139,8 +164,20 @@ TEST(UserRoundRobinAssigner, LanesBoundAndSkipPerDeviceClass) {
   EXPECT_EQ(skipped.lane(cpu_job), UserRoundRobinAssigner::kCpuLane);
   EXPECT_EQ(skipped.lane(gpu_job), UserRoundRobinAssigner::kGpuLane);
   // Quartz/Ruby for the CPU lane, Lassen/Corona for the GPU lane.
-  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kCpuLane), 3);
-  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kGpuLane), 2);
+  EXPECT_EQ(lane_width(skipped, 0, view, UserRoundRobinAssigner::kCpuLane), 3);
+  EXPECT_EQ(lane_width(skipped, 0, view, UserRoundRobinAssigner::kGpuLane), 2);
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kCpuLane,
+                                    SystemId::kQuartz),
+            1);
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kCpuLane,
+                                    SystemId::kCorona),
+            0);
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kGpuLane,
+                                    SystemId::kCorona),
+            2);
+  EXPECT_EQ(skipped.startable_width(0, view, UserRoundRobinAssigner::kGpuLane,
+                                    SystemId::kRuby),
+            0);
   // Three CPU calls and one GPU call, replayed from counts.
   LaneCounts rejected{};
   rejected[UserRoundRobinAssigner::kCpuLane] = 3;
@@ -1341,19 +1378,21 @@ TEST(EngineGolden, RoundRobinBoundUnderFaultsCheckpointsAndArrivals) {
                            [] { return RoundRobinAssigner(); });
 }
 
+/// A pure assigner on the default hooks: machine `id mod machine count`.
+class ByJobId final : public MachineAssigner {
+ public:
+  arch::SystemId assign(const Job& job, std::size_t,
+                        const ClusterView& view) override {
+    const auto& machines = view.machines();
+    return machines[static_cast<std::size_t>(job.id) % machines.size()].id;
+  }
+  bool stateless_assign() const noexcept override { return true; }
+  std::string name() const override { return "by-job-id"; }
+};
+
 TEST(EngineGolden, CustomStatelessAssignerUsesDefaultBound) {
   // A pure assigner that does not override startable_width() runs the
   // indexed pass under the default widest-free-pool bound.
-  class ByJobId final : public MachineAssigner {
-   public:
-    arch::SystemId assign(const Job& job, std::size_t,
-                          const ClusterView& view) override {
-      const auto& machines = view.machines();
-      return machines[static_cast<std::size_t>(job.id) % machines.size()].id;
-    }
-    bool stateless_assign() const noexcept override { return true; }
-    std::string name() const override { return "by-job-id"; }
-  };
   const auto machines = tiny_cluster(24, 12, 8, 6);
   const auto jobs = wide_workload(1'500, 59, {1, 2, 3, 4, 6});
   const auto model = FaultModel::uniform(3000.0, 400.0, 0.05, {}, 61);
@@ -1362,6 +1401,132 @@ TEST(EngineGolden, CustomStatelessAssignerUsesDefaultBound) {
                            [] { return ByJobId(); });
   expect_engines_identical(jobs, machines, trace, SchedulerOptions{},
                            [] { return ByJobId(); });
+}
+
+/// FNV-1a over every outcome's machine, start and end bits and attempt
+/// count, then the makespan bits: moves with any scheduling decision.
+std::uint64_t outcome_hash(const SimulationResult& result) {
+  std::string bytes;
+  const auto put = [&bytes](const auto& value) {
+    char raw[sizeof(value)];
+    std::memcpy(raw, &value, sizeof(value));
+    bytes.append(raw, sizeof(value));
+  };
+  for (const JobOutcome& o : result.outcomes) {
+    put(static_cast<int>(o.machine));
+    put(o.start_s);
+    put(o.end_s);
+    put(o.attempts);
+  }
+  put(result.makespan_s);
+  return fnv1a_64(bytes);
+}
+
+/// Gives every job a prediction off its true runtimes by up to +-50%, so
+/// Model-based and Oracle place jobs differently.
+std::vector<Job> with_noisy_predictions(std::vector<Job> jobs, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Job& job : jobs) {
+    core::SystemTimes noisy = job.runtime;
+    for (double& t : noisy) t *= rng.uniform(0.5, 1.5);
+    job.predicted = core::Rpv::relative_to(noisy, SystemId::kQuartz);
+  }
+  return jobs;
+}
+
+TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
+  // With a stateless assigner the indexed pass counts only the candidates
+  // within its startable width toward a finite backfill_depth, so the
+  // reference engine is no oracle here; these hashes, recorded before the
+  // pass learned to step over candidates that cannot beat the head's
+  // reservation, pin its decisions instead.
+  struct Workload {
+    const char* name;
+    std::vector<Machine> machines;
+    std::vector<Job> jobs;
+    FaultTrace trace;
+    CheckpointPolicy checkpoint;
+  };
+  std::vector<Workload> workloads;
+  {
+    // Five width classes under node failures, kills and checkpoints.
+    auto machines = tiny_cluster(24, 12, 8, 6);
+    auto trace = FaultModel::uniform(3000.0, 400.0, 0.05, {}, 109)
+                     .generate(machines, 60'000.0);
+    EXPECT_TRUE(trace.enabled());
+    workloads.push_back({"faulty", std::move(machines),
+                         with_noisy_predictions(wide_workload(1'500, 107, {1, 2, 3, 4, 6}), 127),
+                         std::move(trace),
+                         CheckpointPolicy{40.0, 2.0}});
+  }
+  {
+    // A one- and two-node batch that queues deeply on the real cluster.
+    const arch::SystemCatalog catalog;
+    workloads.push_back({"batch", default_cluster(catalog),
+                         with_noisy_predictions(wide_workload(6'000, 113, {1, 2}), 131),
+                         FaultTrace::none(),
+                         CheckpointPolicy{}});
+  }
+  using Make = std::function<std::unique_ptr<MachineAssigner>()>;
+  const std::vector<std::pair<const char*, Make>> assigners = {
+      {"rr", [] { return std::make_unique<RoundRobinAssigner>(); }},
+      {"model", [] { return std::make_unique<ModelBasedAssigner>(); }},
+      {"oracle", [] { return std::make_unique<OracleAssigner>(); }},
+      {"guarded", [] { return std::make_unique<GuardedModelBasedAssigner>(); }},
+      {"by-job-id", [] { return std::make_unique<ByJobId>(); }},
+  };
+  const int depths[] = {1, 16, 1000};
+  // [workload][assigner][depth]
+  const std::uint64_t expected[2][5][3] = {
+      {{0x35f1e07a135d4537, 0xd74668b2972e5b1a, 0x805829e8f69adf76},
+       {0xd259f2638bd0e0a0, 0x3fa6c659102ac012, 0xe4415287c963a3cd},
+       {0x0455c6102d7ce253, 0xd0e93b56cbe066a0, 0x4cc845efd75e226e},
+       {0xd259f2638bd0e0a0, 0x3fa6c659102ac012, 0xe4415287c963a3cd},
+       {0x6f033dc9af3808ee, 0x4c409fbd5b6b4b7c, 0x4aad85b7f6b555e2}},
+      {{0x29fabab8b4da89ff, 0x91e2681087a6fb60, 0x494749c7a9e79dc8},
+       {0xde6ce3ec23d19a78, 0x2c3b5b44bd0a4526, 0x2c3b5b44bd0a4526},
+       {0xf5cfb4092c31b260, 0x4c6b647ea3da6939, 0x4c6b647ea3da6939},
+       {0xde6ce3ec23d19a78, 0x2c3b5b44bd0a4526, 0x2c3b5b44bd0a4526},
+       {0x26360ea81c7a9d72, 0x06d433a1c1136664, 0x362e5787af536d98}},
+  };
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const Workload& load = workloads[w];
+    for (std::size_t a = 0; a < assigners.size(); ++a) {
+      for (std::size_t d = 0; d < std::size(depths); ++d) {
+        const auto assigner = assigners[a].second();
+        SchedulerOptions options;
+        options.backfill_depth = depths[d];
+        options.checkpoint = load.checkpoint;
+        const auto result =
+            simulate(load.jobs, load.machines, *assigner, load.trace, options);
+        EXPECT_EQ(result.completed_jobs + result.abandoned_jobs, load.jobs.size());
+        EXPECT_EQ(outcome_hash(result), expected[w][a][d])
+            << load.name << " " << assigners[a].first << " depth " << depths[d]
+            << ": 0x" << std::hex << outcome_hash(result);
+      }
+    }
+  }
+}
+
+TEST(EngineGolden, ShadowWindowEndsExactlyAtShadowTime) {
+  // Whole-second runtimes make many backfill candidates end exactly at
+  // the head's shadow time. Such a job may start (end <= shadow time),
+  // so the shadow-window step must use the engine's own comparison.
+  std::vector<Job> jobs;
+  Rng rng(151);
+  for (int i = 0; i < 1'500; ++i) {
+    const auto t = [&] { return static_cast<double>(1 + rng.below(6)); };
+    const int nodes = 1 + static_cast<int>(rng.below(3));
+    jobs.push_back(make_job(i, t(), t(), t(), t(), nodes, rng.bernoulli(0.4)));
+  }
+  jobs = with_noisy_predictions(std::move(jobs), 157);
+  const auto machines = tiny_cluster(6, 4, 3, 3);
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return RoundRobinAssigner(); });
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return ModelBasedAssigner(); });
+  expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
+                           [] { return OracleAssigner(); });
 }
 
 /// Forwards everything the engine asks of an assigner and counts the
@@ -1378,8 +1543,8 @@ class CountingAssigner final : public MachineAssigner {
   bool stateless_assign() const noexcept override { return inner_.stateless_assign(); }
   std::size_t lane(const Job& job) const noexcept override { return inner_.lane(job); }
   int startable_width(std::size_t started_index, const ClusterView& view,
-                      std::size_t lane) const override {
-    return inner_.startable_width(started_index, view, lane);
+                      std::size_t lane, SystemId machine) const override {
+    return inner_.startable_width(started_index, view, lane, machine);
   }
   bool skip_rejected(const LaneCounts& rejected) override {
     return inner_.skip_rejected(rejected);
@@ -1407,6 +1572,31 @@ TEST(IndexedBackfill, RoundRobinAssignCallsPerJobStayBounded) {
   const double per_job =
       static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
   EXPECT_LE(per_job, 150.0) << counting.calls() << " assign() calls";
+}
+
+TEST(IndexedBackfill, ShadowWindowAssignCallsPerJob) {
+  // A deep one- and two-node batch on the real cluster. Once every machine
+  // but the head's reserved one is full, a candidate that cannot finish
+  // before the head's shadow time can only be assigned and rejected;
+  // the indexed pass steps over it without an assign() call. Here that
+  // is ~2 calls per job for each strategy; assigning every candidate
+  // within the startable width instead costs ~629 (Round-Robin), ~250
+  // (Model-based) and ~254 (Oracle).
+  const arch::SystemCatalog catalog;
+  const auto machines = default_cluster(catalog);
+  const auto jobs = with_noisy_predictions(wide_workload(20'000, 137, {1, 2}), 139);
+  const auto per_job = [&](MachineAssigner& inner) {
+    CountingAssigner counting(inner);
+    const auto result = simulate(jobs, machines, counting);
+    EXPECT_EQ(result.completed_jobs, jobs.size());
+    return static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
+  };
+  RoundRobinAssigner rr;
+  EXPECT_LE(per_job(rr), 4.0);
+  ModelBasedAssigner model;
+  EXPECT_LE(per_job(model), 4.0);
+  OracleAssigner oracle;
+  EXPECT_LE(per_job(oracle), 4.0);
 }
 
 // ------------------------------------------------ lane-skipped full scan ----

@@ -66,21 +66,28 @@ echo "==== [dev] GBT fit smoke (exact + hist + text round trip) ===="
 # walker. The bin-code engine runs ~6.7x on the dev build (4-core
 # AVX-512 host) and a flat double-threshold kernel ~2.4x, so noise cannot
 # flake the lane while losing the packed pool still fails it. The same
-# run times EASY backfill under Round-Robin, Random, User+RR and
-# Model-based: each must stay within 3x of Model-based. Round-Robin is
-# ~1.6x (bounding its backfill by the cluster-wide free maximum instead
-# of its target machine's free nodes makes it ~40x); Random and User+RR
-# are ~2x (assigning every candidate of a lane that cannot start instead
-# of replaying the calls in bulk makes them ~6x).
+# run times EASY backfill under all five Fig. 7/8 strategies against
+# Model-based, each the fastest of three repetitions. Round-Robin must
+# stay within 3x: it reads 1.5-2.2x, and bounding its backfill by the
+# cluster-wide free maximum instead of its target machine's free nodes
+# makes it ~130x. Random and User+RR must stay within 10x: they read
+# 5.8-6.9x, and assigning every candidate of a lane that cannot start
+# instead of replaying the calls in bulk makes them 15-22x. (Model-based
+# and Oracle step over shadow-window candidates without assigning them,
+# which the stateful full scan cannot do, hence the wider bound.)
 echo "==== [dev] compiled predict smoke (gbt + forest) + backfill smoke ===="
 ./build-dev/bench/bench_perf_micro \
   --benchmark_filter='BM_(Gbt|Forest)Predict(Ref|Compiled)/4096$|BM_ServeParseRequest|BM_ServeHandleBatch/(1|64)$|BM_AssignModelBased|BM_SimulateBackfill/' \
-  --benchmark_min_time=0.1 \
+  --benchmark_min_time=0.1 --benchmark_repetitions=3 \
   --benchmark_out=build-dev/predict_smoke.json --benchmark_out_format=json
 python3 - <<'EOF'
 import json
-runs = {b["name"]: b["cpu_time"]
-        for b in json.load(open("build-dev/predict_smoke.json"))["benchmarks"]}
+# The fastest of three repetitions, so one burst of host noise cannot
+# fail a ratio check.
+runs = {}
+for b in json.load(open("build-dev/predict_smoke.json"))["benchmarks"]:
+    if b.get("run_type", "iteration") == "iteration":
+        runs[b["name"]] = min(runs.get(b["name"], float("inf")), b["cpu_time"])
 ratio = runs["BM_GbtPredictRef/4096"] / runs["BM_GbtPredictCompiled/4096"]
 assert ratio >= 4.0, \
     f"compiled GBT predict only {ratio:.2f}x faster than reference (want >= 4x)"
@@ -90,12 +97,14 @@ print("serve path: parse {:.1f} us, handle 1 {:.1f} us, handle 64 {:.1f} us/row"
     runs["BM_ServeHandleBatch/64"] / 64))
 model = runs["BM_SimulateBackfill/model"]
 ratios = {}
-for key, label in (("rr", "Round-Robin"), ("random", "Random"), ("user_rr", "User+RR")):
+for key, label, bound in (("rr", "Round-Robin", 3.0), ("random", "Random", 10.0),
+                          ("user_rr", "User+RR", 10.0), ("oracle", "Oracle", None)):
     ratios[label] = runs[f"BM_SimulateBackfill/{key}"] / model
-    assert ratios[label] <= 3.0, \
-        f"{label} backfill {ratios[label]:.2f}x slower than Model-based (want <= 3x)"
+    assert bound is None or ratios[label] <= bound, \
+        f"{label} backfill {ratios[label]:.2f}x slower than Model-based (want <= {bound:g}x)"
 print("backfill smoke: ok (" +
-      ", ".join(f"{label} {r:.2f}x" for label, r in ratios.items()) + " Model-based)")
+      ", ".join(f"{label} {r:.2f}x" for label, r in ratios.items()) +
+      f" Model-based at {model:.1f} ms)")
 EOF
 
 # Fault-injection smoke: the sched-faults subcommand must complete a small
