@@ -1434,20 +1434,18 @@ std::vector<Job> with_noisy_predictions(std::vector<Job> jobs, std::uint64_t see
   return jobs;
 }
 
-TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
-  // With a stateless assigner the indexed pass counts only the candidates
-  // within its startable width toward a finite backfill_depth, so the
-  // reference engine is no oracle here; these hashes, recorded before the
-  // pass learned to step over candidates that cannot beat the head's
-  // reservation, pin its decisions instead.
-  struct Workload {
-    const char* name;
-    std::vector<Machine> machines;
-    std::vector<Job> jobs;
-    FaultTrace trace;
-    CheckpointPolicy checkpoint;
-  };
-  std::vector<Workload> workloads;
+struct PinnedWorkload {
+  const char* name;
+  std::vector<Machine> machines;
+  std::vector<Job> jobs;
+  FaultTrace trace;
+  CheckpointPolicy checkpoint;
+};
+
+/// The two batches the pinned-hash goldens run: five width classes under
+/// faults and checkpoints, and a deep one- and two-node batch.
+std::vector<PinnedWorkload> pinned_workloads() {
+  std::vector<PinnedWorkload> workloads;
   {
     // Five width classes under node failures, kills and checkpoints.
     auto machines = tiny_cluster(24, 12, 8, 6);
@@ -1467,6 +1465,16 @@ TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
                          FaultTrace::none(),
                          CheckpointPolicy{}});
   }
+  return workloads;
+}
+
+TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
+  // With a stateless assigner the indexed pass counts only the candidates
+  // within its startable width toward a finite backfill_depth, so the
+  // reference engine is no oracle here; these hashes, recorded before the
+  // pass learned to step over candidates that cannot beat the head's
+  // reservation, pin its decisions instead.
+  const std::vector<PinnedWorkload> workloads = pinned_workloads();
   using Make = std::function<std::unique_ptr<MachineAssigner>()>;
   const std::vector<std::pair<const char*, Make>> assigners = {
       {"rr", [] { return std::make_unique<RoundRobinAssigner>(); }},
@@ -1490,7 +1498,7 @@ TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
        {0x26360ea81c7a9d72, 0x06d433a1c1136664, 0x362e5787af536d98}},
   };
   for (std::size_t w = 0; w < workloads.size(); ++w) {
-    const Workload& load = workloads[w];
+    const PinnedWorkload& load = workloads[w];
     for (std::size_t a = 0; a < assigners.size(); ++a) {
       for (std::size_t d = 0; d < std::size(depths); ++d) {
         const auto assigner = assigners[a].second();
@@ -1500,6 +1508,61 @@ TEST(EngineGolden, IndexedPassUnderFiniteDepthPinned) {
         const auto result =
             simulate(load.jobs, load.machines, *assigner, load.trace, options);
         EXPECT_EQ(result.completed_jobs + result.abandoned_jobs, load.jobs.size());
+        EXPECT_EQ(outcome_hash(result), expected[w][a][d])
+            << load.name << " " << assigners[a].first << " depth " << depths[d]
+            << ": 0x" << std::hex << outcome_hash(result);
+      }
+    }
+  }
+}
+
+TEST(EngineGolden, StatefulPassUnderFiniteDepthPinned) {
+  // Random and User+RR must reach the same decisions however the pass
+  // finds its candidates: every rejected assign() call replayed in order
+  // and every queued candidate counted toward the depth. These hashes
+  // were recorded from the full scan, which calls assign() on every
+  // candidate in FCFS order. The third batch resubmits more jobs than
+  // it holds, so FCFS sequence numbers run past twice the job count.
+  std::vector<PinnedWorkload> workloads = pinned_workloads();
+  {
+    auto machines = tiny_cluster(6, 4, 3, 3);
+    RetryPolicy retry;
+    retry.max_attempts = 12;
+    auto trace = FaultModel::uniform(4000.0, 300.0, 0.5, retry, 163)
+                     .generate(machines, 40'000.0);
+    workloads.push_back({"resubmits", std::move(machines),
+                         wide_workload(1'000, 167, {1, 2, 3}, 0.0, 0.5),
+                         std::move(trace), CheckpointPolicy{}});
+  }
+  using Make = std::function<std::unique_ptr<MachineAssigner>()>;
+  const std::vector<std::pair<const char*, Make>> assigners = {
+      {"random", [] { return std::make_unique<RandomAssigner>(173); }},
+      {"user-rr", [] { return std::make_unique<UserRoundRobinAssigner>(); }},
+  };
+  const int depths[] = {0, 1, 16, 1000};
+  // [workload][assigner][depth]
+  const std::uint64_t expected[3][2][4] = {
+      {{0x7c34ac5c8bdd0935, 0x06bfeadf1d372079, 0x53cb731545d725fa, 0xe4b9c95f1050b410},
+       {0x1fd337aeab0ce1bc, 0xed5452da0dc83406, 0x06878f158a6035fd, 0x865e38c277342332}},
+      {{0x235806ebc37f123c, 0x61bc44ef84918b52, 0x5beab2e724f749fc, 0xb51e3eae5c65f7c3},
+       {0xfeaf73349eca860c, 0x15e407e14751afc9, 0x0b134bebb42d9e4b, 0x7eda668b310a6491}},
+      {{0x61b882ca3060ea3e, 0x7dd38dc0e1d37129, 0x447d2bb48c5559df, 0x61b882ca3060ea3e},
+       {0x0b02fbde81430c4f, 0x850c354b3cdb5b7c, 0xb4e6f1a6ad3a2d34, 0x0b02fbde81430c4f}},
+  };
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const PinnedWorkload& load = workloads[w];
+    for (std::size_t a = 0; a < assigners.size(); ++a) {
+      for (std::size_t d = 0; d < std::size(depths); ++d) {
+        const auto assigner = assigners[a].second();
+        SchedulerOptions options;
+        options.backfill_depth = depths[d];
+        options.checkpoint = load.checkpoint;
+        const auto result =
+            simulate(load.jobs, load.machines, *assigner, load.trace, options);
+        EXPECT_EQ(result.completed_jobs + result.abandoned_jobs, load.jobs.size());
+        if (w == 2) {
+          EXPECT_GT(result.total_retries, static_cast<long long>(load.jobs.size()));
+        }
         EXPECT_EQ(outcome_hash(result), expected[w][a][d])
             << load.name << " " << assigners[a].first << " depth " << depths[d]
             << ": 0x" << std::hex << outcome_hash(result);
