@@ -45,12 +45,13 @@ class MachineAssigner {
 
   /// True when, for the job set passed to the latest prime(), assign() is
   /// a pure function of (job, started_index, view) — no internal state
-  /// advances per call. The engine's indexed backfill path may then skip
+  /// advances per call. The engine's backfill pass may then skip
   /// candidates that startable_width() shows cannot start without calling
-  /// assign() on them. A stateful assigner (Random's RNG, User+RR's
-  /// rotation) must see every candidate's call, or have it replayed by
-  /// skip_rejected(), so its state advances identically to a full scan.
-  /// Default: stateful.
+  /// assign() on them, and counts only the candidates it could start
+  /// toward SchedulerOptions::backfill_depth. A stateful assigner
+  /// (Random's RNG, User+RR's rotation) must see every candidate's call,
+  /// or have it replayed by skip_rejected(), so its state advances
+  /// identically to a pass that assigns every candidate. Default: stateful.
   [[nodiscard]] virtual bool stateless_assign() const noexcept {
     return false;
   }
@@ -72,15 +73,13 @@ class MachineAssigner {
   /// starts there. Backfill uses it to pass candidates by without calling
   /// assign(), so an override may be tight but must never under-report.
   /// The bound may change only when a job starts (started_index or the
-  /// view changes). A lane's bound is the widest over the machines:
-  ///  - the indexed pass of a stateless assigner skips every class wider
-  ///    than the widest bound of any queued lane, and steps over a
-  ///    candidate that only the head's reserved machine can take, with
-  ///    too few nodes spare at the head's shadow time, when it cannot end
-  ///    by then;
-  ///  - the full scan of an assigner whose skip_rejected() replays calls
-  ///    takes each lane's own bound, which there must not grow while free
-  ///    nodes only shrink.
+  /// view changes), and may grow or shrink then. For a stateless or a
+  /// replaying assigner the backfill pass, per lane:
+  ///  - passes by every candidate wider than the widest bound over the
+  ///    machines;
+  ///  - steps over a candidate that only the head's reserved machine can
+  ///    take, with too few nodes spare at the head's shadow time, when it
+  ///    cannot end by then.
   /// Default: the machine's free nodes, which holds for any assigner and
   /// lane.
   [[nodiscard]] virtual int startable_width(std::size_t started_index,
@@ -88,11 +87,16 @@ class MachineAssigner {
                                             arch::SystemId machine) const;
 
   /// Advances the internal state exactly as `rejected[l]` assign() calls
-  /// on jobs of lane l would when each returns a machine without room for
-  /// its job, and returns true. Returns false, changing nothing, when the
-  /// assigner cannot replay calls; the engine probes with all-zero counts
-  /// after prime() and, on false, keeps calling assign() on every
-  /// candidate of the full-scan backfill. Default: false.
+  /// on jobs of lane l would when none of them starts its job, and
+  /// returns true. The backfill pass replays the calls of the candidates
+  /// it passes by before its next real assign() call, and once at the
+  /// end of the pass, so the replay needs three things: a call's state
+  /// change depends only on its job's lane, not on the job, the view or
+  /// the machine it returns; calls of different lanes commute; and
+  /// startable_width() never under-reports. Returns false, changing
+  /// nothing, when the assigner cannot replay calls; the engine probes
+  /// with all-zero counts after prime() and, on false, calls assign() on
+  /// every backfill candidate. Default: false.
   [[nodiscard]] virtual bool skip_rejected(const LaneCounts& rejected) {
     (void)rejected;
     return false;

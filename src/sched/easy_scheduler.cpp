@@ -1,6 +1,8 @@
 #include "sched/easy_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -83,23 +85,27 @@ struct RunningRef {
   std::multimap<double, RunningJob>::iterator where;
 };
 
-/// Intrusive FCFS queue over job indices, with one sublist per distinct
-/// job width (nodes_required). The main list is the exact FCFS order (a
+/// Intrusive FCFS queue over job indices, with one sublist per size
+/// class: a distinct (width, lane) pair, the lane being the assigner's
+/// (MachineAssigner::lane). The main list is the exact FCFS order (a
 /// monotone sequence number is stamped on every push, so resubmissions
-/// re-enter at the back). The width sublists let the indexed backfill
-/// path merge only the size classes the assigner could still start,
-/// instead of walking every queued job. The queue also counts its jobs
-/// per assigner lane (MachineAssigner::lane), which lets the full-scan
-/// pass skip the rest of the queue in O(1) once no lane can start. A job
-/// is in the queue at most once at a time (queued -> running -> pending
-/// -> queued), which is what makes the intrusive per-job links sound.
+/// re-enter at the back). The class sublists let the backfill pass merge
+/// only the classes the assigner could still start, instead of walking
+/// every queued job. A ranked queue also keeps per-lane Fenwick counts
+/// over sequence numbers (a prefix-count array), so the pass can count
+/// the queued jobs of each lane between two sequence numbers in
+/// O(log n). A job is in the queue at most once at a time (queued ->
+/// running -> pending -> queued), which is what makes the intrusive
+/// per-job links sound.
 class FcfsQueue {
  public:
   static constexpr std::size_t kNull = std::numeric_limits<std::size_t>::max();
+  /// A sequence-number bound past every job.
+  static constexpr std::uint64_t kEndless = std::numeric_limits<std::uint64_t>::max();
 
-  /// Sizes the per-job link arrays, discovers the width classes and
-  /// caches each job's lane. Call after assigner.prime().
-  void init(const std::vector<Job>& jobs, const MachineAssigner& assigner) {
+  /// Sizes the per-job link arrays, caches each job's lane and discovers
+  /// the size classes. Call after assigner.prime().
+  void init(const std::vector<Job>& jobs, const MachineAssigner& assigner, bool ranked) {
     const std::size_t n = jobs.size();
     lane_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -117,15 +123,19 @@ class FcfsQueue {
     classes_.clear();
     int max_width = 0;
     for (const Job& job : jobs) max_width = std::max(max_width, job.nodes_required);
-    std::vector<std::size_t> slot(static_cast<std::size_t>(max_width) + 1, kNull);
+    std::vector<std::size_t> slot((static_cast<std::size_t>(max_width) + 1) * kAssignLanes,
+                                  kNull);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto w = static_cast<std::size_t>(jobs[i].nodes_required);
-      if (slot[w] == kNull) {
-        slot[w] = classes_.size();
-        classes_.push_back({jobs[i].nodes_required, kNull, kNull});
+      const std::size_t key =
+          static_cast<std::size_t>(jobs[i].nodes_required) * kAssignLanes + lane_[i];
+      if (slot[key] == kNull) {
+        slot[key] = classes_.size();
+        classes_.push_back({jobs[i].nodes_required, lane_[i], kNull, kNull});
       }
-      cls_[i] = slot[w];
+      cls_[i] = slot[key];
     }
+    // Index 0 is unused; the capacity (size - 1) stays a power of two.
+    ranks_.assign(ranked ? std::bit_ceil(std::max<std::size_t>(n, 1)) + 1 : 0, Ranks{});
     head_ = tail_ = kNull;
     size_ = 0;
     seq_counter_ = 0;
@@ -143,6 +153,10 @@ class FcfsQueue {
     wnext_[j] = kNull;
     if (c.tail == kNull) c.head = j; else wnext_[c.tail] = j;
     c.tail = j;
+    if (!ranks_.empty()) {
+      if (seq_[j] + 1 >= ranks_.size()) grow_ranks();
+      add_rank(j, 1);
+    }
     ++size_;
     ++lane_size_[lane_[j]];
   }
@@ -154,48 +168,97 @@ class FcfsQueue {
     Class& c = classes_[cls_[j]];
     if (wprev_[j] == kNull) c.head = wnext_[j]; else wnext_[wprev_[j]] = wnext_[j];
     if (wnext_[j] == kNull) c.tail = wprev_[j]; else wprev_[wnext_[j]] = wprev_[j];
+    if (!ranks_.empty()) add_rank(j, -1);
     --size_;
     --lane_size_[lane_[j]];
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t front() const noexcept { return head_; }
-  [[nodiscard]] std::size_t next(std::size_t j) const noexcept { return next_[j]; }
   [[nodiscard]] std::uint64_t seq(std::size_t j) const noexcept { return seq_[j]; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.size(); }
   [[nodiscard]] int class_width(std::size_t c) const noexcept {
     return classes_[c].width;
   }
+  [[nodiscard]] std::size_t class_lane(std::size_t c) const noexcept {
+    return classes_[c].lane;
+  }
   [[nodiscard]] std::size_t class_head(std::size_t c) const noexcept {
     return classes_[c].head;
   }
   [[nodiscard]] std::size_t wnext(std::size_t j) const noexcept { return wnext_[j]; }
-  [[nodiscard]] std::size_t lane(std::size_t j) const noexcept { return lane_[j]; }
   /// Queued jobs per lane.
   [[nodiscard]] const LaneCounts& lane_sizes() const noexcept { return lane_size_; }
 
-  /// Width of the narrowest queued job (INT_MAX when empty).
-  [[nodiscard]] int narrowest_width() const noexcept {
-    int narrowest = std::numeric_limits<int>::max();
-    for (const Class& c : classes_) {
-      if (c.head != kNull) narrowest = std::min(narrowest, c.width);
+  /// Queued jobs per lane with a sequence number below `seq` (ranked
+  /// queues only).
+  [[nodiscard]] LaneCounts count_below(std::uint64_t seq) const noexcept {
+    MPHPC_ASSERT(!ranks_.empty());
+    if (seq >= ranks_.size() - 1) return lane_size_;
+    LaneCounts counts{};
+    for (auto i = static_cast<std::size_t>(seq); i > 0; i &= i - 1) {
+      for (std::size_t l = 0; l < kAssignLanes; ++l) counts[l] += ranks_[i][l];
     }
-    return narrowest;
+    return counts;
+  }
+
+  /// One past the sequence number of the `k`-th queued job after `seq`,
+  /// over all lanes, or kEndless when fewer are queued (ranked queues
+  /// only): a Fenwick descent.
+  [[nodiscard]] std::uint64_t end_after(std::uint64_t seq, std::size_t k) const noexcept {
+    const LaneCounts before = count_below(seq + 1);
+    std::size_t want = k;
+    for (const std::size_t c : before) want += c;
+    if (want > size_) return kEndless;
+    const std::size_t capacity = ranks_.size() - 1;
+    std::size_t pos = 0;
+    for (std::size_t step = capacity; step > 0; step >>= 1) {
+      if (pos + step > capacity) continue;
+      std::size_t here = 0;
+      for (const std::uint32_t c : ranks_[pos + step]) here += c;
+      if (here < want) {
+        pos += step;
+        want -= here;
+      }
+    }
+    // Fenwick index pos + 1 holds the job, so its sequence number is pos.
+    return pos + 1;
   }
 
  private:
   struct Class {
     int width = 0;
+    std::size_t lane = 0;
     std::size_t head = kNull;
     std::size_t tail = kNull;
   };
+  using Ranks = std::array<std::uint32_t, kAssignLanes>;
+
+  /// Adds `delta` to job j's lane at its sequence number.
+  void add_rank(std::size_t j, int delta) noexcept {
+    for (auto i = static_cast<std::size_t>(seq_[j]) + 1; i < ranks_.size(); i += i & -i) {
+      ranks_[i][lane_[j]] += static_cast<std::uint32_t>(delta);
+    }
+  }
+
+  /// Doubles the capacity. Every queued sequence number lies below the
+  /// old capacity, so the new top node holds the lane totals and the
+  /// nodes between the two capacities start empty.
+  void grow_ranks() {
+    const std::size_t capacity = ranks_.size() - 1;
+    ranks_.resize(2 * capacity + 1, Ranks{});
+    for (std::size_t l = 0; l < kAssignLanes; ++l) {
+      ranks_[2 * capacity][l] = static_cast<std::uint32_t>(lane_size_[l]);
+    }
+  }
 
   std::vector<std::size_t> next_, prev_;    // main FCFS list
-  std::vector<std::size_t> wnext_, wprev_;  // per-width-class list
+  std::vector<std::size_t> wnext_, wprev_;  // per-class list
   std::vector<std::uint64_t> seq_;
   std::vector<std::size_t> cls_;  // job -> class slot
   std::vector<Class> classes_;
   std::vector<std::uint8_t> lane_;  // job -> assigner lane
+  std::vector<Ranks> ranks_;        // Fenwick counts, index = seq + 1
   LaneCounts lane_size_{};
   std::size_t head_ = kNull;
   std::size_t tail_ = kNull;
@@ -624,43 +687,15 @@ class ReferenceEngine final : public EngineBase<ReferenceEngine> {
       kills_;
 };
 
-/// Per-pass state of the full-scan backfill's lane skip
-/// (CalendarEngine::schedule_pass_scan).
-struct LaneScan {
-  LaneCounts left{};     ///< queued candidates not yet visited, per lane
-  LaneCounts skipped{};  ///< rejected assign() calls to replay, per lane
-  /// Startable width per lane (MachineAssigner::startable_width).
-  std::array<int, kAssignLanes> bound{};
-  int narrowest = 0;  ///< narrowest queued width at the start of the pass
-
-  /// Visits a candidate of lane `l`; true when its assign() call could
-  /// only be rejected, in which case it is counted for replay instead.
-  [[nodiscard]] bool skip(std::size_t l) noexcept {
-    --left[l];
-    if (bound[l] >= narrowest) return false;
-    ++skipped[l];
-    return true;
-  }
-
-  /// True when no lane can start any of its remaining candidates.
-  [[nodiscard]] bool all_doomed() const noexcept {
-    for (std::size_t l = 0; l < kAssignLanes; ++l) {
-      if (left[l] > 0 && bound[l] >= narrowest) return false;
-    }
-    return true;
-  }
-};
-
 /// The production engine (SimEngineKind::kCalendar): calendar queues for
-/// releases and kills, and a width-indexed FCFS queue so backfill skips
-/// whole job-size classes wider than the assigner's startable width
-/// (MachineAssigner::startable_width). With a stateless assigner the
-/// indexed scan provably starts the same jobs as the full rescan (a
-/// skipped candidate would only ever be assigned and rejected). Stateful
-/// assigners (Random, User+RR, guarded fallback) keep the full scan so
-/// their internal state advances call-for-call identically; those that
-/// can replay rejected calls (MachineAssigner::skip_rejected) have the
-/// calls of lanes that cannot start replayed in bulk instead of made.
+/// releases and kills, and a class-indexed FCFS queue so backfill skips
+/// whole size classes the assigner cannot start
+/// (MachineAssigner::startable_width). Three kinds of assigner share one
+/// backfill pass: a stateless assigner has the candidates that could only
+/// be rejected skipped outright; one that replays rejected calls
+/// (MachineAssigner::skip_rejected) has them counted and replayed before
+/// its next real call; any other has every candidate assigned, in the
+/// reference engine's order.
 class CalendarEngine final : public EngineBase<CalendarEngine> {
   friend class EngineBase<CalendarEngine>;
 
@@ -669,12 +704,12 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
  private:
   void init_queues() {
-    queue_.init(jobs_, assigner_);
     // Must be read after prime(): GuardedModelBasedAssigner only knows
     // whether every job takes the pure model path once primed.
-    indexed_ = assigner_.stateless_assign();
+    stateless_ = assigner_.stateless_assign();
     // Zero counts make the probe a no-op that only reports support.
-    lane_skip_ = !indexed_ && assigner_.skip_rejected(LaneCounts{});
+    replay_ = !stateless_ && assigner_.skip_rejected(LaneCounts{});
+    queue_.init(jobs_, assigner_, replay_);
   }
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
   void queue_push_back(std::size_t i) { queue_.push_back(i); }
@@ -708,181 +743,67 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     }
   }
 
-  void schedule_pass(double now) {
-    if (indexed_) {
-      schedule_pass_indexed(now);
-    } else {
-      schedule_pass_scan(now);
-    }
-  }
-
-  /// Full-rescan pass over the intrusive queue — candidate visits and
-  /// depth counting match ReferenceEngine::schedule_pass one-for-one, and
-  /// so do the assign() calls unless the assigner replays rejected ones
-  /// (lane_skip_). Then a candidate whose lane is doomed — the lane's
-  /// startable width is below the narrowest queued job — is counted, not
-  /// assigned: its call could only be rejected. Free nodes only shrink
-  /// within a pass, so a doomed lane stays doomed and makes no real call
-  /// after its first counted one; lanes commute, so replaying the counts
-  /// in one skip_rejected() at the end of the pass leaves the assigner's
-  /// state exactly as the full scan would. Once every lane is doomed or
-  /// out of candidates, the rest of the queue is counted in O(1).
-  void schedule_pass_scan(double now) {
-    while (!queue_.empty()) {
-      const std::size_t head = queue_.front();
-      const arch::SystemId m = assigner_.assign(jobs_[head], started_count_, view_);
-      const auto mi = static_cast<std::size_t>(m);
-      if (state_[mi].free >= jobs_[head].nodes_required) {
-        start_job(head, m, now);
-        queue_.erase(head);
-        continue;
-      }
-
-      const auto [shadow_time, projected_free] =
-          state_[mi].earliest_fit(now, jobs_[head].nodes_required);
-      int shadow_spare = projected_free - jobs_[head].nodes_required;
-
-      int max_free = 0;
-      for (const auto& s : state_) max_free = std::max(max_free, s.free);
-      if (max_free == 0) break;
-
-      LaneScan lanes;
-      if (lane_skip_) {
-        lanes.left = queue_.lane_sizes();
-        --lanes.left[queue_.lane(head)];
-        lanes.narrowest = queue_.narrowest_width();
-        lanes.bound.fill(std::numeric_limits<int>::max());
-        refresh_lane_bounds(lanes);
-      }
-      int scanned = 0;
-      for (std::size_t it = queue_.next(head);
-           it != FcfsQueue::kNull && scanned < depth_limit_; ++scanned) {
-        if (lane_skip_ && lanes.all_doomed()) {
-          count_rest(it, depth_limit_ - scanned, lanes);
-          break;
-        }
-        const std::size_t cand = it;
-        it = queue_.next(it);  // advance before a possible erase
-        if (lane_skip_ && lanes.skip(queue_.lane(cand))) continue;
-        const Job& job = jobs_[cand];
-        const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
-        const auto ci = static_cast<std::size_t>(cm);
-        if (state_[ci].free < job.nodes_required) continue;
-        bool started = false;
-        if (cm != m) {
-          started = true;
-        } else {
-          // Same machine as the reservation: must not delay the head.
-          const double end = now + job.runtime[ci];
-          if (end <= shadow_time) {
-            started = true;
-          } else if (shadow_spare >= job.nodes_required) {
-            shadow_spare -= job.nodes_required;
-            started = true;
-          }
-        }
-        if (!started) continue;
-        start_job(cand, cm, now);
-        queue_.erase(cand);
-        if (lane_skip_) refresh_lane_bounds(lanes);
-      }
-      if (lanes.skipped != LaneCounts{}) {
-        const bool replayed = assigner_.skip_rejected(lanes.skipped);
-        MPHPC_ASSERT(replayed);
-      }
-      break;  // head stays blocked until the next event
-    }
-  }
-
-  /// Re-reads every lane's startable width after a start.
-  void refresh_lane_bounds(LaneScan& lanes) const {
-    for (std::size_t l = 0; l < kAssignLanes; ++l) {
-      const int bound = lane_width(l);
-      // A bound that grew could revive a doomed lane after some of its
-      // calls were counted, and replaying them late would reorder them.
-      MPHPC_ASSERT(bound <= lanes.bound[l]);
-      lanes.bound[l] = bound;
-    }
-  }
-
-  /// Counts as rejected the candidates from `it` on, at most `budget` of
-  /// them: every lane is doomed or out of candidates.
-  void count_rest(std::size_t it, int budget, LaneScan& lanes) const {
-    MPHPC_ASSERT(budget > 0);
-    const auto limit = static_cast<std::size_t>(budget);
-    std::size_t total = 0;
-    for (const std::size_t n : lanes.left) total += n;
-    MPHPC_ASSERT(total > 0);
-    if (total <= limit) {
-      for (std::size_t l = 0; l < kAssignLanes; ++l) lanes.skipped[l] += lanes.left[l];
-      return;
-    }
-    // The depth budget ends inside the suffix: only candidates within it
-    // count, so walk them unless they all share one lane.
-    for (std::size_t l = 0; l < kAssignLanes; ++l) {
-      if (lanes.left[l] == total) {
-        lanes.skipped[l] += limit;
-        return;
-      }
-    }
-    for (std::size_t k = 0; k < limit; ++k, it = queue_.next(it)) {
-      ++lanes.skipped[queue_.lane(it)];
-    }
-  }
-
-  /// Widest job of `lane` the assigner could start on any machine.
-  [[nodiscard]] int lane_width(std::size_t lane) const {
-    int widest = 0;
-    for (const Machine& x : view_.machines()) {
-      widest = std::max(widest,
-                        assigner_.startable_width(started_count_, view_, lane, x.id));
-    }
-    return widest;
-  }
-
-  /// Startable widths of the indexed pass, over the queued lanes.
-  struct StartableWidths {
-    int any = 0;    ///< widest job startable on some machine
-    int other = 0;  ///< widest job startable on a machine other than the head's
+  /// Per-lane widths of the pass, from MachineAssigner::startable_width.
+  struct LaneBounds {
+    std::array<int, kAssignLanes> any{};   ///< widest job startable on some machine
+    std::array<int, kAssignLanes> open{};  ///< a wider job is in the shadow window
   };
 
-  [[nodiscard]] StartableWidths startable_widths(arch::SystemId head_machine) const {
-    StartableWidths r;
+  /// A lane's wider jobs can start only on the head's machine m, and only
+  /// if they end by the head's shadow time, when they are wider than every
+  /// other machine's startable width and than the nodes spare at the
+  /// shadow time. An assigner that neither is stateless nor replays gets
+  /// every class and no window: each candidate's call must happen.
+  [[nodiscard]] LaneBounds lane_bounds(arch::SystemId head_machine,
+                                       int shadow_spare) const {
+    LaneBounds r;
+    if (!stateless_ && !replay_) {
+      r.any.fill(std::numeric_limits<int>::max());
+      r.open.fill(std::numeric_limits<int>::max());
+      return r;
+    }
     for (std::size_t l = 0; l < kAssignLanes; ++l) {
       if (queue_.lane_sizes()[l] == 0) continue;
+      int other = 0;
       for (const Machine& x : view_.machines()) {
         const int w = assigner_.startable_width(started_count_, view_, l, x.id);
-        r.any = std::max(r.any, w);
-        if (x.id != head_machine) r.other = std::max(r.other, w);
+        r.any[l] = std::max(r.any[l], w);
+        if (x.id != head_machine) other = std::max(other, w);
       }
+      r.open[l] = std::max(other, shadow_spare);
     }
     return r;
   }
 
-  /// Indexed pass: merges the per-width sublists by FCFS sequence number,
-  /// visiting only candidates no wider than the assigner's startable
-  /// width (MachineAssigner::startable_width). For a stateless assigner
-  /// this starts exactly the jobs the full rescan would: every skipped
-  /// candidate would have been assigned and then rejected by the
-  /// per-machine free check, a no-op for a pure assign(). The bound is
-  /// recomputed after every start and may grow (Round-Robin's target
-  /// machine rotates), so each class keeps its cursor for the whole pass
-  /// and, once eligible again, catches up past the last visited sequence
-  /// number: visits stay in strict FCFS order and never revisit a job.
+  /// One scheduling pass at time `now` (Algorithm 1 body). The backfill
+  /// merges the class sublists by FCFS sequence number, visiting only
+  /// candidates some machine could take: classes no wider than their
+  /// lane's startable width, and in the shadow window only jobs that end
+  /// by the head's shadow time. Every skipped candidate would have been
+  /// assigned and then rejected. The bound is recomputed after every
+  /// start and may grow (Round-Robin's target machine rotates), so each
+  /// class keeps its cursor for the whole pass and, once eligible again,
+  /// catches up past the last visited sequence number: visits stay in
+  /// strict FCFS order and never revisit a job.
   ///
-  /// Shadow window: a class wider than every other machine's startable
-  /// width and than the nodes spare at the head's shadow time can start
-  /// only on the head's machine m, and only a job with
-  /// now + runtime[m] <= shadow_time. That test depends on the pass
-  /// alone, so a class's `hit` cursor steps over the failing jobs once per
+  /// Shadow window: the late-ending test depends on the pass alone, so a
+  /// window class's `hit` cursor steps over the failing jobs once per
   /// pass without an assign() call or a merge step. Which classes are in
-  /// the window depends on the state and changes on every start (a
-  /// rotating target can free them), so `at` never passes an unvisited
+  /// the window changes on every start, so `at` never passes an unvisited
   /// job: a class leaving the window resumes at the first sequence number
-  /// above `last`. The merge's visits stay the same, only cheaper: every
-  /// job stepped over before the next visited candidate counts toward the
-  /// backfill depth exactly where the merge would have visited it.
-  void schedule_pass_indexed(double now) {
+  /// above `last`.
+  ///
+  /// The depth budget: a stateless assigner counts only the visited
+  /// candidates and the window jobs stepped over before each, where the
+  /// merge would have visited them. A replaying assigner counts every
+  /// queued candidate, as the reference engine does, so the pass ends at
+  /// the depth-th queued job after the head, found by a Fenwick descent
+  /// at the start of the pass (a candidate's position is its rank among
+  /// the queued jobs plus the backfills started before it, which is fixed
+  /// for the pass). Before each real call, and once at the end, the
+  /// queued jobs of each lane since the previous visit are counted and
+  /// replayed in one skip_rejected() call.
+  void schedule_pass(double now) {
     constexpr std::size_t kNull = FcfsQueue::kNull;
     while (!queue_.empty()) {
       const std::size_t head = queue_.front();
@@ -901,12 +822,12 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         return now + jobs_[j].runtime[mi] > shadow_time;
       };
 
-      // The bound changes only when a job starts, so a zero bound means
-      // nothing can start for the rest of the pass.
-      StartableWidths bound = startable_widths(m);
-      if (bound.any <= 0) break;
-      // Classes wider than `open` are in the shadow window.
-      int open = std::max(bound.other, shadow_spare);
+      // Nothing can backfill while no machine has a free node: no call
+      // is made or replayed.
+      int max_free = 0;
+      for (const auto& s : state_) max_free = std::max(max_free, s.free);
+      if (max_free == 0) break;
+      LaneBounds bound = lane_bounds(m, shadow_spare);
 
       // One cursor per size class. The head has the lowest live sequence
       // number, so starting `last` at it makes the catch-up skip it too.
@@ -916,17 +837,33 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (at != kNull) cursors_.push_back({c, at, at, 0});
       }
       std::uint64_t last = queue_.seq(head);
+      // Replaying: candidates from `end` on lie past the depth budget.
+      const std::uint64_t end =
+          replay_ && depth_limit_ < std::numeric_limits<int>::max()
+              ? queue_.end_after(last, static_cast<std::size_t>(depth_limit_))
+              : FcfsQueue::kEndless;
+      const auto replay_until = [&](std::uint64_t until) {
+        LaneCounts skipped = queue_.count_below(until);
+        const LaneCounts visited = queue_.count_below(last + 1);
+        for (std::size_t l = 0; l < kAssignLanes; ++l) skipped[l] -= visited[l];
+        if (skipped == LaneCounts{}) return;
+        const bool replayed = assigner_.skip_rejected(skipped);
+        MPHPC_ASSERT(replayed);
+      };
 
       long long scanned = 0;
       while (true) {
         // Lowest-sequence candidate among the classes the bound admits;
         // exhausted cursors are dropped for good.
+        const long long remaining = replay_ ? std::numeric_limits<long long>::max()
+                                            : depth_limit_ - scanned;
         std::size_t best = 0;
         std::size_t cand = kNull;
         for (std::size_t k = 0; k < cursors_.size();) {
           Cursor& cur = cursors_[k];
           const int width = queue_.class_width(cur.cls);
-          if (width > bound.any) {
+          const std::size_t lane = queue_.class_lane(cur.cls);
+          if (width > bound.any[lane]) {
             ++k;
             continue;
           }
@@ -937,17 +874,19 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
             continue;
           }
           std::size_t next = cur.at;
-          if (width > open) {
+          if (width > bound.open[lane]) {
             // A job behind `remaining` late jobs of its own class lies
             // past the depth budget, so the walk stops there.
-            const long long remaining = depth_limit_ - scanned;
-            while (cur.hit != kNull && cur.gap < remaining && ends_late(cur.hit)) {
+            while (cur.hit != kNull && cur.gap < remaining &&
+                   (end == FcfsQueue::kEndless || queue_.seq(cur.hit) < end) &&
+                   ends_late(cur.hit)) {
               cur.hit = queue_.wnext(cur.hit);
               ++cur.gap;
             }
             next = cur.gap < remaining ? cur.hit : kNull;
           }
-          if (next != kNull && (cand == kNull || queue_.seq(next) < queue_.seq(cand))) {
+          if (next != kNull && queue_.seq(next) < end &&
+              (cand == kNull || queue_.seq(next) < queue_.seq(cand))) {
             best = k;
             cand = next;
           }
@@ -955,23 +894,31 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         }
         if (cand == kNull) break;
 
-        // Window jobs ahead of `cand` are visits that could only be
-        // rejected; each spends one unit of the depth budget.
         const std::uint64_t cand_seq = queue_.seq(cand);
-        long long passed = 0;
-        for (Cursor& cur : cursors_) {
-          const int width = queue_.class_width(cur.cls);
-          if (width > bound.any || width <= open) continue;
-          while (cur.at != kNull && queue_.seq(cur.at) < cand_seq &&
-                 scanned + passed < depth_limit_) {
-            cur.step(queue_);
-            ++passed;
+        if (replay_) {
+          replay_until(cand_seq);
+        } else {
+          // Window jobs ahead of `cand` are visits that could only be
+          // rejected; each spends one unit of the depth budget.
+          long long passed = 0;
+          for (Cursor& cur : cursors_) {
+            const int width = queue_.class_width(cur.cls);
+            const std::size_t lane = queue_.class_lane(cur.cls);
+            if (width > bound.any[lane] || width <= bound.open[lane]) continue;
+            while (cur.at != kNull && queue_.seq(cur.at) < cand_seq &&
+                   scanned + passed < depth_limit_) {
+              cur.step(queue_);
+              ++passed;
+            }
           }
+          if (scanned + passed >= depth_limit_) break;
+          scanned += passed + 1;
         }
-        if (scanned + passed >= depth_limit_) break;
-        scanned += passed + 1;
         last = cand_seq;
-        cursors_[best].step(queue_);  // its `at` is `cand`
+        // Move the chosen class past `cand` and any window jobs before it.
+        Cursor& chosen = cursors_[best];
+        while (chosen.at != cand) chosen.step(queue_);
+        chosen.step(queue_);
 
         const Job& job = jobs_[cand];
         const arch::SystemId cm = assigner_.assign(job, started_count_, view_);
@@ -982,8 +929,8 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
           started = true;
         } else {
           // Same machine as the reservation: must not delay the head.
-          const double end = now + job.runtime[ci];
-          if (end <= shadow_time) {
+          const double job_end = now + job.runtime[ci];
+          if (job_end <= shadow_time) {
             started = true;
           } else if (shadow_spare >= job.nodes_required) {
             shadow_spare -= job.nodes_required;
@@ -993,10 +940,9 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (!started) continue;
         start_job(cand, cm, now);
         queue_.erase(cand);
-        bound = startable_widths(m);
-        if (bound.any <= 0) break;
-        open = std::max(bound.other, shadow_spare);
+        bound = lane_bounds(m, shadow_spare);
       }
+      if (replay_) replay_until(end);
       break;  // head stays blocked until the next event
     }
   }
@@ -1022,8 +968,8 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
   CalendarQueue pending_;
   CalendarQueue kills_;
   std::vector<Cursor> cursors_;  // scratch, reused across passes
-  bool indexed_ = false;
-  bool lane_skip_ = false;  // full scan replays doomed lanes' calls in bulk
+  bool stateless_ = false;
+  bool replay_ = false;  // rejected calls are counted and replayed in bulk
 };
 
 }  // namespace

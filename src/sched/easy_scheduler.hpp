@@ -37,8 +37,9 @@ namespace mphpc::sched {
 /// Which event-engine implementation simulate() runs.
 ///
 /// kCalendar is the production engine: calendar/bucket event queues with
-/// an explicit (time, kind, seq) total order, a width-indexed FCFS queue
-/// so backfill skips job-size classes the assigner cannot start, and
+/// an explicit (time, kind, seq) total order, an FCFS queue indexed by
+/// (width, lane) so backfill skips job-size classes the assigner cannot
+/// start, and
 /// O(1)-amortised event handling — built for 10^6-job traces.
 /// kReference preserves the original binary-heap + linear-rescan engine
 /// as the golden oracle: both engines produce bit-identical
@@ -51,17 +52,18 @@ struct SchedulerOptions {
   /// the scan. 0 means unlimited (the default, matching the paper).
   /// With a stateless assigner (MachineAssigner::stateless_assign) the
   /// calendar engine only examines — and only counts — candidates no
-  /// wider than the assigner's startable width
+  /// wider than their lane's startable width
   /// (MachineAssigner::startable_width). Among those, a candidate that
   /// only the head's reserved machine can take, and that cannot end by
   /// the head's shadow time, is stepped over without an assign() call,
   /// yet still counted where it would have been examined, so the depth
-  /// ends the pass at the same candidate. Stateful assigners take the
-  /// full scan, which counts every candidate as the reference engine
-  /// does; for one that replays rejected calls
-  /// (MachineAssigner::skip_rejected), candidates of a lane that cannot
-  /// start are counted without an assign() call, so its internal state
-  /// still advances exactly as in a full scan.
+  /// ends the pass at the same candidate. With a stateful assigner every
+  /// queued candidate counts, as in the reference engine: the pass ends
+  /// at the depth-th queued job after the head. One that replays rejected
+  /// calls (MachineAssigner::skip_rejected) is passed by the candidates
+  /// that no machine could take, which are counted and replayed in order,
+  /// so its internal state still advances exactly as if every candidate
+  /// were assigned.
   int backfill_depth = 0;
   /// Per-job checkpoint/restart policy. The default (interval 0) keeps
   /// the restart-from-zero behaviour bit-identically.

@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/distributions.hpp"
 #include "common/contract.hpp"
@@ -99,6 +100,42 @@ TEST(Rng, DiscardMatchesRawDraws) {
     skipped.discard(k);
     for (std::uint64_t i = 0; i < k; ++i) (void)drawn();
     EXPECT_EQ(skipped(), drawn()) << "k = " << k;
+  }
+}
+
+TEST(Rng, DiscardJumpMatchesRawDraws) {
+  // From Rng::kDiscardBlock draws on, discard() jumps by powers of the
+  // state-update matrix; it must land exactly where the draws would.
+  constexpr std::uint64_t kBlock = Rng::kDiscardBlock;
+  for (const std::uint64_t k :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1023}, std::uint64_t{1024},
+        std::uint64_t{4095}, std::uint64_t{4096}, std::uint64_t{65537},
+        std::uint64_t{1000003}, std::uint64_t{10000019}, kBlock - 1, kBlock, kBlock + 1}) {
+    Rng skipped(47);
+    Rng drawn(47);
+    skipped.discard(k);
+    for (std::uint64_t i = 0; i < k; ++i) (void)drawn();
+    EXPECT_EQ(skipped(), drawn()) << "k = " << k;
+    EXPECT_EQ(skipped(), drawn()) << "k = " << k;
+  }
+}
+
+TEST(Rng, DiscardIsAdditiveNearTwoToThe32) {
+  // Counts this large use jump levels no raw-draw comparison can reach,
+  // so check that splitting a discard anywhere gives the same stream.
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  const std::pair<std::uint64_t, std::uint64_t> splits[] = {
+      {kTwo32 - 1, kTwo32 + 1}, {kTwo32, kTwo32}, {kTwo32 + 12345, kTwo32 - 1023},
+      {kTwo32 - 7, 3}, {5, kTwo32 + 1024}};
+  for (const auto& [a, b] : splits) {
+    Rng split(53);
+    Rng whole(53);
+    split.discard(a);
+    split.discard(b);
+    whole.discard(a + b);
+    EXPECT_EQ(split(), whole()) << a << " + " << b;
+    Rng fresh(53);
+    EXPECT_NE(whole(), fresh()) << a << " + " << b;
   }
 }
 

@@ -1249,10 +1249,11 @@ TEST(EngineGolden, AllAssignersIdenticalUnderFaultsAndCheckpoints) {
 }
 
 TEST(EngineGolden, BoundedDepthIdenticalForStatefulAssigners) {
-  // With a stateful assigner both engines take the full-scan backfill
-  // path, so a bounded depth must count candidates identically.
-  // (Stateless assigners use the indexed path, whose depth accounting
-  // intentionally differs — see SchedulerOptions::backfill_depth.)
+  // With a stateful assigner the calendar engine counts every queued
+  // candidate toward the depth, as the reference engine does, so a bounded
+  // depth must end each pass at the same candidate. (For stateless
+  // assigners the depth accounting intentionally differs — see
+  // SchedulerOptions::backfill_depth.)
   const auto machines = tiny_cluster();
   const auto jobs = random_workload(800, 29);
   const auto model = FaultModel::uniform(3000.0, 500.0, 0.08, {}, 41);
@@ -1269,8 +1270,9 @@ TEST(EngineGolden, BoundedDepthIdenticalForStatefulAssigners) {
 
 TEST(EngineGolden, GuardedFallbackPathIdentical) {
   // Implausible predictions force GuardedModelBasedAssigner off its pure
-  // path (stateless_assign() false after prime), so the calendar engine
-  // must fall back to the legacy full-scan backfill and still match.
+  // path (stateless_assign() false after prime) and it cannot replay
+  // calls, so the calendar engine must assign every candidate and still
+  // match.
   const auto machines = tiny_cluster(3, 3, 3, 3);
   auto jobs = random_workload(800, 5);
   for (std::size_t i = 0; i < jobs.size(); i += 7) {
@@ -1662,7 +1664,7 @@ TEST(IndexedBackfill, ShadowWindowAssignCallsPerJob) {
   EXPECT_LE(per_job(oracle), 4.0);
 }
 
-// ------------------------------------------------ lane-skipped full scan ----
+// ------------------------------------------- replayed rejected calls ----
 
 TEST(EngineGolden, UserRrGpuLaneDoomedWhileCpuLaneStarts) {
   // Two-node GPU machines under a GPU-heavy batch fill first, so the GPU
@@ -1687,7 +1689,7 @@ TEST(EngineGolden, UserRrGpuLaneDoomedWhileCpuLaneStarts) {
 
 TEST(EngineGolden, CpuOnlyWorkloadLeavesOneLaneEmpty) {
   // No GPU job ever queues, so User+RR's GPU lane has no candidates and
-  // the CPU lane alone decides when the rest of the queue is skipped.
+  // the CPU lane alone decides which candidates are counted and replayed.
   const auto machines = tiny_cluster(6, 4, 3, 3);
   const auto jobs = wide_workload(1'500, 83, {1, 2, 3}, 0.0, /*gpu_share=*/0.0);
   expect_engines_identical(jobs, machines, FaultTrace::none(), SchedulerOptions{},
@@ -1698,9 +1700,9 @@ TEST(EngineGolden, CpuOnlyWorkloadLeavesOneLaneEmpty) {
 
 TEST(EngineGolden, DepthBudgetEndsInsideDoomedSuffix) {
   // A 1,500-job batch queues far deeper than the budget, so once the
-  // cluster fills the budget ends inside the skipped suffix: only the
-  // candidates within it may be replayed. Both lanes mixed (the walk) and
-  // one lane alone (the shortcut) are covered.
+  // cluster fills the budget ends among candidates that are counted, not
+  // assigned: only those up to the depth-th queued job may be replayed.
+  // Both lanes mixed and one lane alone are covered.
   const auto machines = tiny_cluster(6, 4, 3, 3);
   for (const double gpu_share : {0.4, 0.0}) {
     const auto jobs = wide_workload(1'500, 97, {1, 2, 3}, 0.0, gpu_share);
@@ -1717,7 +1719,8 @@ TEST(EngineGolden, DepthBudgetEndsInsideDoomedSuffix) {
 
 TEST(EngineGolden, CustomStatefulAssignerOnDefaultHooks) {
   // A stateful assigner that keeps the default lane(), startable_width()
-  // and skip_rejected() is never skipped: every candidate is assigned.
+  // and skip_rejected() is never skipped: the pass admits every class and
+  // has no shadow window, so every candidate is assigned.
   class CountingRotation final : public MachineAssigner {
    public:
     arch::SystemId assign(const Job& job, std::size_t,
@@ -1741,12 +1744,14 @@ TEST(EngineGolden, CustomStatefulAssignerOnDefaultHooks) {
                            [] { return CountingRotation(); });
 }
 
-TEST(ScanBackfill, StatefulAssignCallsPerJobStayBounded) {
-  // A deep batch on the real cluster. Random and User+RR must replay
-  // every candidate's call, but once the machines a lane can use are
-  // full its calls are counted, not made; assigning the whole queue on
-  // every pass instead costs ~411 (Random) and ~1,087 (User+RR) calls
-  // per job here.
+TEST(IndexedBackfill, StatefulAssignCallsPerJobStayBounded) {
+  // A deep batch on the real cluster. Random and User+RR must see every
+  // candidate's call, but one that no machine could take (too wide for
+  // its lane, or ending late in the shadow window) is counted and
+  // replayed, not made. Here that is ~3.1 (Random) and ~2.4 (User+RR)
+  // calls per job; assigning every candidate of a lane that could start
+  // costs ~38 and ~64, and assigning the whole queue on every pass ~411
+  // and ~1,087.
   const arch::SystemCatalog catalog;
   const auto machines = default_cluster(catalog);
   const auto jobs = wide_workload(6'000, 67, {1, 2});
@@ -1757,9 +1762,9 @@ TEST(ScanBackfill, StatefulAssignCallsPerJobStayBounded) {
     return static_cast<double>(counting.calls()) / static_cast<double>(jobs.size());
   };
   RandomAssigner random(71);
-  EXPECT_LE(per_job(random), 60.0);
+  EXPECT_LE(per_job(random), 4.5);
   UserRoundRobinAssigner user_rr;
-  EXPECT_LE(per_job(user_rr), 100.0);
+  EXPECT_LE(per_job(user_rr), 3.5);
 }
 
 // -------------------------------------------------- checkpoint planners ----

@@ -1074,6 +1074,14 @@ TEST(ServeCrashTest, SigkillMidRefitRestartsFromLastPersistedModel) {
 // Server::run end to end: a daemon on a temporary Unix socket, driven by
 // real client connections. Replies are matched to requests by id.
 
+/// A request id such as "r17". Appended, not `"r" + std::to_string(i)`:
+/// GCC 12 reports a false -Werror=restrict on that form in Release.
+std::string tagged_id(char prefix, std::size_t i) {
+  std::string id(1, prefix);
+  id += std::to_string(i);
+  return id;
+}
+
 /// The wire form of a predict (times == nullptr) or feedback request.
 std::string request_line(const sim::RunProfile& p, const std::string& id,
                          const core::SystemTimes* times = nullptr) {
@@ -1230,7 +1238,7 @@ TEST_F(ServeSocketTest, PipelinedAndSplitLinesAreEachAnsweredOnce) {
   for (std::size_t i = 0; i < 200; ++i) {
     const sim::RunProfile& p = s.profiles[i % s.profiles.size()];
     const core::SystemTimes times = consistent_times(s.predictor, p);
-    burst += request_line(p, "r" + std::to_string(i), i % 16 == 15 ? &times : nullptr);
+    burst += request_line(p, tagged_id('r', i), i % 16 == 15 ? &times : nullptr);
   }
   send_all(fd, burst);
   // One more line, split across two sends.
@@ -1242,7 +1250,7 @@ TEST_F(ServeSocketTest, PipelinedAndSplitLinesAreEachAnsweredOnce) {
   const std::map<std::string, int> seen = ok_replies_by_id(read_lines(fd, 201));
   ASSERT_EQ(seen.size(), 201u);
   for (std::size_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(seen.count("r" + std::to_string(i)), 1u) << i;
+    EXPECT_EQ(seen.count(tagged_id('r', i)), 1u) << i;
   }
   EXPECT_EQ(seen.count("split"), 1u);
   for (const auto& [id, n] : seen) EXPECT_EQ(n, 1) << id;
@@ -1280,8 +1288,8 @@ TEST_F(ServeSocketTest, InterleavedConnectionsGetOnlyTheirOwnReplies) {
   ASSERT_GE(b, 0);
   for (std::size_t i = 0; i < 50; ++i) {
     const sim::RunProfile& p = s.profiles[i % s.profiles.size()];
-    send_all(a, request_line(p, "a" + std::to_string(i)));
-    send_all(b, request_line(p, "b" + std::to_string(i)));
+    send_all(a, request_line(p, tagged_id('a', i)));
+    send_all(b, request_line(p, tagged_id('b', i)));
   }
   for (const auto& [fd, prefix] : {std::pair{a, 'a'}, std::pair{b, 'b'}}) {
     const std::map<std::string, int> seen = ok_replies_by_id(read_lines(fd, 50));
@@ -1306,7 +1314,7 @@ TEST_F(ServeSocketTest, ShortWriteFaultTearsExactlyTheNthReply) {
   std::vector<std::string> expected;
   for (std::size_t i = 0; i < 8; ++i) {
     const Request req = predict_request(s.profiles[i % s.profiles.size()],
-                                        "t" + std::to_string(i));
+                                        tagged_id('t', i));
     burst += request_line(req.profile, req.id);
     expected.push_back(daemon.core().handle_request(req));
   }

@@ -22,6 +22,10 @@
 //                  [--recover-mae X] [--queue-cap N] [--batch-max N]
 //                  [--deadline-ms MS] [--threads N]
 //
+// `--help` (or `-h`) anywhere prints this usage and exits 0. A command
+// rejects a flag it does not take, a stray word or a malformed number with
+// exit 2 before it does any work.
+//
 // Every command is deterministic for a given set of flags (serve excepted:
 // it reacts to whatever requests arrive).
 //
@@ -40,13 +44,18 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "arch/system_catalog.hpp"
 #include "common/atomic_file.hpp"
+#include "common/contract.hpp"
+#include "common/error.hpp"
 #include "common/json_writer.hpp"
 #include "common/shutdown.hpp"
 #include "common/strings.hpp"
@@ -72,38 +81,82 @@ namespace {
 
 using namespace mphpc;
 
-/// Minimal `--flag value` parser; flags without a value are "true".
+/// A command-line mistake: main() prints it and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// What a flag's value must parse as; a switch takes no value.
+enum class FlagKind { kText, kInt, kReal, kSwitch };
+
+struct Flag {
+  const char* name;  ///< without the leading "--"
+  FlagKind kind;
+};
+
+/// `--flag value` parser for one command. Only the command's own flags
+/// are accepted and each value must parse as its flag's kind: an unknown
+/// flag, a stray word, a missing value or a bad number throws UsageError
+/// naming it, before the command does any work.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, std::vector<Flag> flags)
+      : flags_(std::move(flags)) {
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
+      const std::string word = argv[i];
+      if (word.rfind("--", 0) != 0) {
+        throw UsageError("unexpected argument '" + word + "'");
       }
+      const std::string key = word.substr(2);
+      const Flag* flag = find(key);
+      if (flag == nullptr) throw UsageError("unknown flag " + word);
+      if (flag->kind == FlagKind::kSwitch) {
+        values_[key] = "true";
+        continue;
+      }
+      if (i + 1 >= argc) throw UsageError(word + " needs a value");
+      const std::string value = argv[++i];
+      try {
+        if (flag->kind == FlagKind::kInt) (void)parse_int32(value);
+        if (flag->kind == FlagKind::kReal) (void)parse_double(value);
+      } catch (const ParseError& e) {
+        throw UsageError(word + ": " + e.what());
+      }
+      values_[key] = value;
     }
   }
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
+    MPHPC_EXPECTS(find(key) != nullptr);
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
+    MPHPC_EXPECTS(find(key) != nullptr);
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return it == values_.end() ? fallback : parse_int32(it->second);
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
+    MPHPC_EXPECTS(find(key) != nullptr);
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return it == values_.end() ? fallback : parse_double(it->second);
   }
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
+  [[nodiscard]] bool has(const std::string& key) const {
+    MPHPC_EXPECTS(find(key) != nullptr);
+    return values_.count(key) > 0;
+  }
 
  private:
+  [[nodiscard]] const Flag* find(const std::string& key) const {
+    for (const Flag& flag : flags_) {
+      if (key == flag.name) return &flag;
+    }
+    return nullptr;
+  }
+
+  std::vector<Flag> flags_;
   std::map<std::string, std::string> values_;
 };
 
@@ -862,6 +915,7 @@ int cmd_serve(const Args& args) {
 void usage() {
   std::printf(
       "mphpc — cross-architecture performance prediction toolkit\n\n"
+      "  mphpc --help   (or -h anywhere on the line) prints this and exits\n"
       "  mphpc dataset  [--inputs N] [--campaign-dir DIR] [--out FILE.csv]\n"
       "  mphpc train    [--inputs N] [--rounds N] [--depth N] [--bins B]\n"
       "                 [--tree-method hist|exact]\n"
@@ -893,27 +947,94 @@ void usage() {
       "                  crash-recovering fleet and requires --socket)\n");
 }
 
+/// Flags of build_dataset(), shared by every command that builds one.
+std::vector<Flag> dataset_flags(std::vector<Flag> more) {
+  more.push_back({"inputs", FlagKind::kInt});
+  more.push_back({"campaign-dir", FlagKind::kText});
+  return more;
+}
+
+/// Flags of predictor_options(), plus the dataset's.
+std::vector<Flag> fit_flags(std::vector<Flag> more) {
+  more.push_back({"rounds", FlagKind::kInt});
+  more.push_back({"depth", FlagKind::kInt});
+  more.push_back({"bins", FlagKind::kInt});
+  more.push_back({"tree-method", FlagKind::kText});
+  return dataset_flags(std::move(more));
+}
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+};
+
+std::vector<Command> commands() {
+  using K = FlagKind;
+  return {
+      {"dataset", cmd_dataset, dataset_flags({{"out", K::kText}})},
+      {"train", cmd_train,
+       fit_flags({{"out", K::kText}, {"checkpoint-every", K::kInt}, {"resume", K::kSwitch}})},
+      {"evaluate", cmd_evaluate, fit_flags({{"model", K::kText}})},
+      {"predict", cmd_predict,
+       fit_flags({{"app", K::kText}, {"system", K::kText}, {"scale", K::kText},
+                  {"model", K::kText}})},
+      {"schedule", cmd_schedule, fit_flags({{"jobs", K::kInt}, {"strategy", K::kText}})},
+      {"sched-faults", cmd_sched_faults,
+       fit_flags({{"jobs", K::kInt}, {"swf", K::kText}, {"swf-procs-per-node", K::kInt},
+                  {"swf-max-nodes", K::kInt}, {"node-mtbf-h", K::kReal},
+                  {"mttr-h", K::kReal}, {"kill-prob", K::kReal},
+                  {"max-attempts", K::kInt}, {"seed", K::kInt},
+                  {"checkpoint-overhead-s", K::kReal},
+                  {"checkpoint-interval-s", K::kReal}, {"out", K::kText}})},
+      {"sched-scale", cmd_sched_scale,
+       dataset_flags({{"jobs", K::kInt}, {"depth", K::kInt}, {"arrival-rate", K::kReal},
+                      {"node-mtbf-h", K::kReal}, {"mttr-h", K::kReal},
+                      {"kill-prob", K::kReal}, {"max-attempts", K::kInt},
+                      {"seed", K::kInt}, {"out", K::kText}})},
+      {"serve", cmd_serve,
+       {{"state-dir", K::kText}, {"model", K::kText}, {"socket", K::kText},
+        {"workers", K::kInt}, {"restart-max", K::kInt},
+        {"restart-base-delay-s", K::kReal}, {"restart-max-delay-s", K::kReal},
+        {"heartbeat-timeout-s", K::kReal}, {"store-poll-s", K::kReal},
+        {"refit-every", K::kInt}, {"min-refit-rows", K::kInt},
+        {"refit-rounds", K::kInt}, {"max-model-rounds", K::kInt},
+        {"cold-rounds", K::kInt}, {"drift-window", K::kInt},
+        {"drift-max-apps", K::kInt}, {"drift-app-window", K::kInt},
+        {"trip-mae", K::kReal}, {"recover-mae", K::kReal},
+        {"window-capacity", K::kInt}, {"queue-cap", K::kInt},
+        {"batch-max", K::kInt}, {"deadline-ms", K::kInt}, {"threads", K::kInt},
+        {"seed", K::kInt}}},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Help wins over everything else on the line, so asking for it never
+  // starts a run.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      usage();
+      return 0;
+    }
+  }
   if (argc < 2) {
     usage();
     return 2;
   }
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  try {
-    if (command == "dataset") return cmd_dataset(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "predict") return cmd_predict(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "sched-faults") return cmd_sched_faults(args);
-    if (command == "sched-scale") return cmd_sched_scale(args);
-    if (command == "serve") return cmd_serve(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  for (Command& command : commands()) {
+    if (argv[1] != std::string_view(command.name)) continue;
+    try {
+      const Args args(argc, argv, 2, std::move(command.flags));
+      return command.run(args);
+    } catch (const UsageError& e) {
+      std::fprintf(stderr, "mphpc %s: %s (see mphpc --help)\n", command.name, e.what());
+      return 2;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   usage();
   return 2;
