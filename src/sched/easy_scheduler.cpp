@@ -85,16 +85,16 @@ struct RunningRef {
   std::multimap<double, RunningJob>::iterator where;
 };
 
-/// Intrusive FCFS queue over job indices, with one sublist per size
-/// class: a distinct (width, lane) pair, the lane being the assigner's
-/// (MachineAssigner::lane). The main list is the exact FCFS order (a
-/// monotone sequence number is stamped on every push, so resubmissions
-/// re-enter at the back). The class sublists let the backfill pass merge
-/// only the classes the assigner could still start, instead of walking
-/// every queued job. A ranked queue also keeps per-lane Fenwick counts
-/// over sequence numbers (a prefix-count array), so the pass can count
-/// the queued jobs of each lane between two sequence numbers in
-/// O(log n). A job is in the queue at most once at a time (queued ->
+/// Intrusive FCFS queue over job indices, as one list per size class: a
+/// distinct (width, lane) pair, the lane being the assigner's
+/// (MachineAssigner::lane). A monotone sequence number stamped on every
+/// push gives the exact FCFS order (resubmissions re-enter at the back).
+/// Each class list is in that order, so the head is the lowest class
+/// head, and the backfill pass merges only the classes the assigner could
+/// still start instead of walking every queued job. A ranked queue also
+/// keeps per-lane Fenwick counts over sequence numbers (a prefix-count
+/// array), so the pass can count the queued jobs of each lane between two
+/// sequence numbers in O(log n). A job is in the queue at most once at a time (queued ->
 /// running -> pending -> queued), which is what makes the intrusive
 /// per-job links sound.
 class FcfsQueue {
@@ -114,8 +114,6 @@ class FcfsQueue {
       lane_[i] = static_cast<std::uint8_t>(lane);
     }
     lane_size_ = {};
-    next_.assign(n, kNull);
-    prev_.assign(n, kNull);
     wnext_.assign(n, kNull);
     wprev_.assign(n, kNull);
     seq_.assign(n, 0);
@@ -136,18 +134,13 @@ class FcfsQueue {
     }
     // Index 0 is unused; the capacity (size - 1) stays a power of two.
     ranks_.assign(ranked ? std::bit_ceil(std::max<std::size_t>(n, 1)) + 1 : 0, Ranks{});
-    head_ = tail_ = kNull;
     size_ = 0;
     seq_counter_ = 0;
   }
 
   void push_back(std::size_t j) {
-    MPHPC_ASSERT(j < next_.size());
+    MPHPC_ASSERT(j < wnext_.size());
     seq_[j] = seq_counter_++;
-    prev_[j] = tail_;
-    next_[j] = kNull;
-    if (tail_ == kNull) head_ = j; else next_[tail_] = j;
-    tail_ = j;
     Class& c = classes_[cls_[j]];
     wprev_[j] = c.tail;
     wnext_[j] = kNull;
@@ -162,9 +155,7 @@ class FcfsQueue {
   }
 
   void erase(std::size_t j) {
-    MPHPC_ASSERT(j < next_.size() && size_ > 0);
-    if (prev_[j] == kNull) head_ = next_[j]; else next_[prev_[j]] = next_[j];
-    if (next_[j] == kNull) tail_ = prev_[j]; else prev_[next_[j]] = prev_[j];
+    MPHPC_ASSERT(j < wnext_.size() && size_ > 0);
     Class& c = classes_[cls_[j]];
     if (wprev_[j] == kNull) c.head = wnext_[j]; else wnext_[wprev_[j]] = wnext_[j];
     if (wnext_[j] == kNull) c.tail = wprev_[j]; else wprev_[wnext_[j]] = wprev_[j];
@@ -174,7 +165,14 @@ class FcfsQueue {
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t front() const noexcept { return head_; }
+  /// The FCFS head: the lowest sequence number among the class heads.
+  [[nodiscard]] std::size_t front() const noexcept {
+    std::size_t head = kNull;
+    for (const Class& c : classes_) {
+      if (c.head != kNull && (head == kNull || seq_[c.head] < seq_[head])) head = c.head;
+    }
+    return head;
+  }
   [[nodiscard]] std::uint64_t seq(std::size_t j) const noexcept { return seq_[j]; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.size(); }
   [[nodiscard]] int class_width(std::size_t c) const noexcept {
@@ -252,7 +250,6 @@ class FcfsQueue {
     }
   }
 
-  std::vector<std::size_t> next_, prev_;    // main FCFS list
   std::vector<std::size_t> wnext_, wprev_;  // per-class list
   std::vector<std::uint64_t> seq_;
   std::vector<std::size_t> cls_;  // job -> class slot
@@ -260,8 +257,6 @@ class FcfsQueue {
   std::vector<std::uint8_t> lane_;  // job -> assigner lane
   std::vector<Ranks> ranks_;        // Fenwick counts, index = seq + 1
   LaneCounts lane_size_{};
-  std::size_t head_ = kNull;
-  std::size_t tail_ = kNull;
   std::size_t size_ = 0;
   std::uint64_t seq_counter_ = 0;
 };

@@ -1,6 +1,7 @@
 // Tests for src/common: RNG, distributions, strings, JSON, thread pool.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/distributions.hpp"
 #include "common/contract.hpp"
@@ -136,6 +138,30 @@ TEST(Rng, DiscardIsAdditiveNearTwoToThe32) {
     EXPECT_EQ(split(), whole()) << a << " + " << b;
     Rng fresh(53);
     EXPECT_NE(whole(), fresh()) << a << " + " << b;
+  }
+}
+
+TEST(Rng, DiscardJumpTablesBuildOnceAcrossThreads) {
+  // The jump-ahead powers are built on first use and shared. Threads that
+  // need the same unbuilt powers at once (counts near 2^62: no earlier
+  // test reaches them) must each land where two half-size jumps do.
+  constexpr std::uint64_t kBase = std::uint64_t{1} << 62;
+  std::array<std::uint64_t, 4> got{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&got, t] {
+      Rng rng(59);
+      rng.discard(kBase + t);
+      got[t] = rng();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    Rng halves(59);
+    halves.discard(kBase / 2);
+    halves.discard(kBase / 2);
+    for (std::size_t i = 0; i < t; ++i) (void)halves();
+    EXPECT_EQ(got[t], halves()) << t;
   }
 }
 

@@ -938,6 +938,7 @@ void usage() {
       "                 [--workers N] [--restart-max K] [--restart-base-delay-s S]\n"
       "                 [--restart-max-delay-s S] [--heartbeat-timeout-s S]\n"
       "                 [--store-poll-s S] [--refit-every K] [--refit-rounds R]\n"
+      "                 [--min-refit-rows N] [--max-model-rounds R] [--cold-rounds R]\n"
       "                 [--drift-window N] [--drift-max-apps N] [--drift-app-window N]\n"
       "                 [--trip-mae X] [--recover-mae X] [--window-capacity N]\n"
       "                 [--queue-cap N] [--batch-max N] [--deadline-ms MS]\n"
