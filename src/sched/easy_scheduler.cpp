@@ -738,36 +738,35 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     }
   }
 
-  /// Per-lane widths of the pass, from MachineAssigner::startable_width.
-  struct LaneBounds {
-    std::array<int, kAssignLanes> any{};   ///< widest job startable on some machine
-    std::array<int, kAssignLanes> open{};  ///< a wider job is in the shadow window
-  };
-
-  /// A lane's wider jobs can start only on the head's machine m, and only
-  /// if they end by the head's shadow time, when they are wider than every
+  /// Marks each cursor's class as admitted, when it is no wider than its
+  /// lane's startable width on some machine
+  /// (MachineAssigner::startable_width), and as in the shadow window: a
+  /// lane's wider jobs can start only on the head's machine, and only if
+  /// they end by the head's shadow time, when they are wider than every
   /// other machine's startable width and than the nodes spare at the
-  /// shadow time. An assigner that neither is stateless nor replays gets
-  /// every class and no window: each candidate's call must happen.
-  [[nodiscard]] LaneBounds lane_bounds(arch::SystemId head_machine,
-                                       int shadow_spare) const {
-    LaneBounds r;
-    if (!stateless_ && !replay_) {
-      r.any.fill(std::numeric_limits<int>::max());
-      r.open.fill(std::numeric_limits<int>::max());
-      return r;
-    }
+  /// shadow time. An assigner that neither is stateless nor replays keeps
+  /// every class admitted and none in the window: each candidate's call
+  /// must happen.
+  void classify_cursors(arch::SystemId head_machine, int shadow_spare) {
+    if (!stateless_ && !replay_) return;
+    std::array<int, kAssignLanes> any{};
+    std::array<int, kAssignLanes> open{};
     for (std::size_t l = 0; l < kAssignLanes; ++l) {
       if (queue_.lane_sizes()[l] == 0) continue;
       int other = 0;
       for (const Machine& x : view_.machines()) {
         const int w = assigner_.startable_width(started_count_, view_, l, x.id);
-        r.any[l] = std::max(r.any[l], w);
+        any[l] = std::max(any[l], w);
         if (x.id != head_machine) other = std::max(other, w);
       }
-      r.open[l] = std::max(other, shadow_spare);
+      open[l] = std::max(other, shadow_spare);
     }
-    return r;
+    for (Cursor& cur : cursors_) {
+      const int width = queue_.class_width(cur.cls);
+      const std::size_t lane = queue_.class_lane(cur.cls);
+      cur.admitted = width <= any[lane];
+      cur.windowed = width > open[lane];
+    }
   }
 
   /// One scheduling pass at time `now` (Algorithm 1 body). The backfill
@@ -822,15 +821,15 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
       int max_free = 0;
       for (const auto& s : state_) max_free = std::max(max_free, s.free);
       if (max_free == 0) break;
-      LaneBounds bound = lane_bounds(m, shadow_spare);
 
       // One cursor per size class. The head has the lowest live sequence
       // number, so starting `last` at it makes the catch-up skip it too.
       cursors_.clear();
       for (std::size_t c = 0; c < queue_.num_classes(); ++c) {
         const std::size_t at = queue_.class_head(c);
-        if (at != kNull) cursors_.push_back({c, at, at, 0});
+        if (at != kNull) cursors_.push_back({c, at, at, 0, true, false});
       }
+      classify_cursors(m, shadow_spare);
       std::uint64_t last = queue_.seq(head);
       // Replaying: candidates from `end` on lie past the depth budget.
       const std::uint64_t end =
@@ -848,17 +847,16 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
 
       long long scanned = 0;
       while (true) {
-        // Lowest-sequence candidate among the classes the bound admits;
-        // exhausted cursors are dropped for good.
+        // Lowest-sequence candidate before `end` among the admitted
+        // classes; exhausted cursors are dropped for good.
         const long long remaining = replay_ ? std::numeric_limits<long long>::max()
                                             : depth_limit_ - scanned;
         std::size_t best = 0;
         std::size_t cand = kNull;
+        std::uint64_t cand_seq = end;
         for (std::size_t k = 0; k < cursors_.size();) {
           Cursor& cur = cursors_[k];
-          const int width = queue_.class_width(cur.cls);
-          const std::size_t lane = queue_.class_lane(cur.cls);
-          if (width > bound.any[lane]) {
+          if (!cur.admitted) {
             ++k;
             continue;
           }
@@ -869,7 +867,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
             continue;
           }
           std::size_t next = cur.at;
-          if (width > bound.open[lane]) {
+          if (cur.windowed) {
             // A job behind `remaining` late jobs of its own class lies
             // past the depth budget, so the walk stops there.
             while (cur.hit != kNull && cur.gap < remaining &&
@@ -880,16 +878,15 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
             }
             next = cur.gap < remaining ? cur.hit : kNull;
           }
-          if (next != kNull && queue_.seq(next) < end &&
-              (cand == kNull || queue_.seq(next) < queue_.seq(cand))) {
+          if (next != kNull && queue_.seq(next) < cand_seq) {
             best = k;
             cand = next;
+            cand_seq = queue_.seq(next);
           }
           ++k;
         }
         if (cand == kNull) break;
 
-        const std::uint64_t cand_seq = queue_.seq(cand);
         if (replay_) {
           replay_until(cand_seq);
         } else {
@@ -897,9 +894,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
           // rejected; each spends one unit of the depth budget.
           long long passed = 0;
           for (Cursor& cur : cursors_) {
-            const int width = queue_.class_width(cur.cls);
-            const std::size_t lane = queue_.class_lane(cur.cls);
-            if (width > bound.any[lane] || width <= bound.open[lane]) continue;
+            if (!cur.admitted || !cur.windowed) continue;
             while (cur.at != kNull && queue_.seq(cur.at) < cand_seq &&
                    scanned + passed < depth_limit_) {
               cur.step(queue_);
@@ -935,7 +930,7 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
         if (!started) continue;
         start_job(cand, cm, now);
         queue_.erase(cand);
-        bound = lane_bounds(m, shadow_spare);
+        classify_cursors(m, shadow_spare);
       }
       if (replay_) replay_until(end);
       break;  // head stays blocked until the next event
@@ -947,6 +942,8 @@ class CalendarEngine final : public EngineBase<CalendarEngine> {
     std::size_t at = 0;   ///< no job of the class before it is left to visit
     std::size_t hit = 0;  ///< at or after `at`; every job in [at, hit) ends late
     long long gap = 0;    ///< jobs in [at, hit)
+    bool admitted = true;   ///< the bound admits the class
+    bool windowed = false;  ///< the class is in the shadow window
 
     /// Moves `at` one job on, keeping `hit` at or after it.
     void step(const FcfsQueue& queue) noexcept {
