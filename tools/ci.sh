@@ -75,7 +75,7 @@ echo "==== [dev] GBT fit smoke (exact + hist + text round trip) ===="
 # their lane, or ending late in the shadow window) and replay those
 # calls by rank count, as Model-based and Oracle step over them: Random
 # reads 1.4-1.6x (2.6x in one run out of seven, with Round-Robin also
-# high) and User+RR 1.2-1.6x. Replaying Random's draws one at a time
+# high) and User+RR 1.2-1.7x. Replaying Random's draws one at a time
 # instead of jumping ahead (Rng::discard) makes Random 4.4-5.8x, and
 # keying the queue's size classes by width alone, so that User+RR's full
 # GPU lane keeps its classes in the pass, makes User+RR ~31x.
